@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "harness.h"
 #include "rln/group.h"
@@ -19,6 +20,7 @@
 #include "rln/prover.h"
 #include "zksnark/batch_verifier.h"
 #include "zksnark/cost_model.h"
+#include "zksnark/rln_circuit.h"
 
 using namespace wakurln;
 
@@ -92,11 +94,40 @@ int main() {
           }
         },
         /*reps=*/15, /*warmup=*/2, /*batch=*/20);
+    // H(m) stays inside the prepared timings so they do the same work as
+    // the reference call (the relay hashes once and reuses x).
     const auto& prepared_s = runner.run(
         "verify_prepared_d20_g16",
         [&] {
           for (int i = 0; i < 20; ++i) {
-            if (!verifier.verify_prepared(payload, *signal)) ok = false;
+            const field::Fr x = zksnark::RlnCircuit::message_to_x(payload);
+            if (!verifier.verify_prepared(*signal, x)) ok = false;
+          }
+        },
+        /*reps=*/15, /*warmup=*/2, /*batch=*/20);
+
+    // Rate k = 3: the external nullifier becomes Poseidon(epoch, slot)
+    // instead of the bare epoch. Cycling the three slots of one epoch is
+    // what a hop sees, so the memoised nullifier should keep this near
+    // the k = 1 cost.
+    const rln::RlnProver prover3(keys.pk, id, 3);
+    const rln::RlnVerifier verifier3(keys.vk, 3);
+    std::vector<rln::RlnSignal> signals3;
+    for (std::uint64_t slot = 0; slot < 3; ++slot) {
+      const auto s = prover3.create_signal(payload, 7, group, index, rng, slot);
+      if (!s) {
+        std::fprintf(stderr, "prover refused honest witness (rate-3 slot %llu)\n",
+                     static_cast<unsigned long long>(slot));
+        return 1;
+      }
+      signals3.push_back(*s);
+    }
+    const auto& rate3_s = runner.run(
+        "verify_prepared_d20_g16_rate3",
+        [&] {
+          for (int i = 0; i < 20; ++i) {
+            const field::Fr x = zksnark::RlnCircuit::message_to_x(payload);
+            if (!verifier3.verify_prepared(signals3[i % 3], x)) ok = false;
           }
         },
         /*reps=*/15, /*warmup=*/2, /*batch=*/20);
@@ -106,6 +137,7 @@ int main() {
     }
     runner.metric("prepared_verify_speedup", scalar_s.median_ns / prepared_s.median_ns,
                   "x");
+    runner.metric("rate3_verify_overhead", rate3_s.median_ns / prepared_s.median_ns, "x");
   }
 
   runner.metric("modeled_iphone8_verify_ms",

@@ -102,18 +102,21 @@ Sha256& Sha256::update(std::string_view data) {
 }
 
 Digest Sha256::finalize() {
+  // Pad in place: 0x80, zeros up to byte 56 of the last block (spilling
+  // into one extra block when fewer than 9 bytes are free), then the
+  // 64-bit big-endian message length. At most two compressions.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::uint8_t len_be[8];
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
   }
-  update(std::span<const std::uint8_t>(len_be, 8));
+  process_block(buffer_.data());
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -3,7 +3,8 @@
 //
 // Used for byte-level hashing: message ids, PoW grinding, derivation of
 // Poseidon round constants, and the MAC binding inside the mock zkSNARK
-// backend. Verified against NIST/RFC test vectors in tests/hash_test.cpp.
+// backend. Verified against NIST/RFC test vectors and padding-boundary
+// known answers in tests/sha256_test.cpp.
 
 #include <array>
 #include <cstdint>

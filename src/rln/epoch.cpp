@@ -1,5 +1,6 @@
 #include "rln/epoch.h"
 
+#include <array>
 #include <stdexcept>
 
 #include "hash/poseidon.h"
@@ -29,6 +30,23 @@ field::Fr EpochScheme::to_field(std::uint64_t epoch) {
   return field::Fr::from_u64(epoch);
 }
 
+namespace {
+
+/// One cached (epoch, index, rate) -> ∅ result. rate == 0 marks an empty
+/// entry: the memo only ever stores rates > 1.
+struct NullifierMemoEntry {
+  std::uint64_t epoch = 0;
+  std::uint64_t index = 0;
+  std::uint64_t rate = 0;
+  field::Fr value;
+};
+
+/// Direct-mapped on epoch * rate + index, so the 64 most recent slots of
+/// consecutive epochs never evict each other (21 epochs at rate 3).
+constexpr std::size_t kNullifierMemoEntries = 64;
+
+}  // namespace
+
 field::Fr external_nullifier(std::uint64_t epoch, std::uint64_t message_index,
                              std::uint64_t messages_per_epoch) {
   if (messages_per_epoch == 0) {
@@ -40,8 +58,19 @@ field::Fr external_nullifier(std::uint64_t epoch, std::uint64_t message_index,
   if (messages_per_epoch == 1) {
     return EpochScheme::to_field(epoch);  // the paper's ∅ = epoch
   }
-  return hash::poseidon_hash2(field::Fr::from_u64(epoch),
-                              field::Fr::from_u64(message_index));
+  // Every hop of every message recomputes the same few (epoch, slot)
+  // constants, each a full Poseidon permutation. Shard lanes call this
+  // concurrently, so the memo is per thread: no lock, no shared state.
+  thread_local std::array<NullifierMemoEntry, kNullifierMemoEntries> memo{};
+  NullifierMemoEntry& entry =
+      memo[(epoch * messages_per_epoch + message_index) % kNullifierMemoEntries];
+  if (entry.rate != messages_per_epoch || entry.epoch != epoch ||
+      entry.index != message_index) {
+    entry = NullifierMemoEntry{epoch, message_index, messages_per_epoch,
+                               hash::poseidon_hash2(field::Fr::from_u64(epoch),
+                                                    field::Fr::from_u64(message_index))};
+  }
+  return entry.value;
 }
 
 }  // namespace wakurln::rln

@@ -41,7 +41,8 @@ class EpochScheme {
 /// plain epoch embedding, exactly the paper's construction; for k > 1 each
 /// (epoch, index < k) pair is an independent "voting booth", so a member
 /// may send k messages per epoch and double-use of any single slot still
-/// leaks the key.
+/// leaks the key. For k > 1 the value is Poseidon(epoch, index), memoised
+/// in a small per-thread table keyed by the full (epoch, index, k) triple.
 field::Fr external_nullifier(std::uint64_t epoch, std::uint64_t message_index,
                              std::uint64_t messages_per_epoch);
 

@@ -82,14 +82,13 @@ bool RlnVerifier::verify(std::span<const std::uint8_t> payload,
   return zksnark::MockGroth16::verify(verifying_key_, signal.proof, pub);
 }
 
-bool RlnVerifier::verify_prepared(std::span<const std::uint8_t> payload,
-                                  const RlnSignal& signal) const {
+bool RlnVerifier::verify_prepared(const RlnSignal& signal, const Fr& x) const {
   if (signal.message_index >= messages_per_epoch_) return false;
   zksnark::RlnPublicInputs pub;
   pub.root = signal.root;
   pub.epoch =
       external_nullifier(signal.epoch, signal.message_index, messages_per_epoch_);
-  pub.x = zksnark::RlnCircuit::message_to_x(payload);
+  pub.x = x;
   pub.y = signal.y;
   pub.nullifier = signal.nullifier;
   return prepared_.verify(signal.proof, pub);

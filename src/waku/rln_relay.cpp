@@ -156,12 +156,12 @@ WakuRlnRelay::PublishOutcome WakuRlnRelay::do_publish(const gossipsub::TopicId& 
 }
 
 bool WakuRlnRelay::verify_proof(std::span<const std::uint8_t> payload,
-                                const rln::RlnSignal& signal) {
+                                const field::Fr& x, const rln::RlnSignal& signal) {
   // Batched mode verifies through the prepared (allocation-free) path —
   // same verdict bit-for-bit — and counts the proof into the modeled
   // amortisation queue. Scalar mode is the executable reference.
   if (batch_verifier_) {
-    const bool ok = ctx_->verifier.verify_prepared(payload, signal);
+    const bool ok = ctx_->verifier.verify_prepared(signal, x);
     batch_verifier_->enqueue();
     return ok;
   }
@@ -170,16 +170,17 @@ bool WakuRlnRelay::verify_proof(std::span<const std::uint8_t> payload,
 
 bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
                                        std::span<const std::uint8_t> payload,
+                                       const field::Fr& x,
                                        const rln::RlnSignal& signal) {
   if (config_.proof_cache_entries == 0) {
     ++stats_.proof_verifications;
     if (tracer_ != nullptr) {
       tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
-      const bool ok = verify_proof(payload, signal);
+      const bool ok = verify_proof(payload, x, signal);
       tracer_->end(now_us(), trace_track_);
       return ok;
     }
-    return verify_proof(payload, signal);
+    return verify_proof(payload, x, signal);
   }
   if (const auto it = proof_cache_.find(id); it != proof_cache_.end()) {
     ++stats_.proof_cache_hits;
@@ -192,7 +193,7 @@ bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
   if (tracer_ != nullptr) {
     tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
   }
-  const bool ok = verify_proof(payload, signal);
+  const bool ok = verify_proof(payload, x, signal);
   if (tracer_ != nullptr) tracer_->end(now_us(), trace_track_);
   if (proof_cache_order_.size() >= config_.proof_cache_entries) {
     proof_cache_.erase(proof_cache_order_.front());
@@ -237,18 +238,20 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
     return Validation::kIgnore;  // possibly our own stale view: don't punish
   }
 
+  // The share's x coordinate H(m) is a public input of the proof and the
+  // key of the nullifier map's line check: hash the payload once for both.
+  const field::Fr x = zksnark::RlnCircuit::message_to_x(payload);
+
   // 4. zkSNARK verification — the content-addressed message id keys a
   // verdict cache, so a re-delivered message costs a map lookup.
-  if (!verify_proof_cached(msg.id, payload, signal)) {
+  if (!verify_proof_cached(msg.id, payload, x, signal)) {
     ++stats_.invalid_proof;
     trace_drop("proof");
     return Validation::kReject;
   }
 
   // 5. Nullifier map: double-signal detection.
-  const auto check =
-      nullifier_map_.observe(signal.epoch, signal.nullifier,
-                             zksnark::RlnCircuit::message_to_x(payload), signal.y);
+  const auto check = nullifier_map_.observe(signal.epoch, signal.nullifier, x, signal.y);
   switch (check.outcome) {
     case rln::NullifierMap::Outcome::kDuplicateMessage:
       ++stats_.duplicates;

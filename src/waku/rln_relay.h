@@ -196,12 +196,13 @@ class WakuRlnRelay {
   PublishOutcome do_publish(const gossipsub::TopicId& topic,
                             const util::Bytes& payload, bool enforce_rate_limit);
   gossipsub::Validation validate(sim::NodeId source, const gossipsub::GsMessage& msg);
-  /// One zkSNARK verification: prepared path + modeled queue in batched
-  /// mode, the scalar reference verifier otherwise. Verdicts identical.
-  bool verify_proof(std::span<const std::uint8_t> payload,
+  /// One zkSNARK verification: prepared path (on the caller's x = H(m))
+  /// + modeled queue in batched mode, the scalar reference verifier (which
+  /// rehashes the payload) otherwise. Verdicts identical.
+  bool verify_proof(std::span<const std::uint8_t> payload, const field::Fr& x,
                     const rln::RlnSignal& signal);
   bool verify_proof_cached(const gossipsub::MessageId& id,
-                           std::span<const std::uint8_t> payload,
+                           std::span<const std::uint8_t> payload, const field::Fr& x,
                            const rln::RlnSignal& signal);
   void on_chain_event(const eth::ContractEvent& event);
   void submit_slash(const field::Fr& sk);

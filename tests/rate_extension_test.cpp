@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <iterator>
+#include <thread>
+#include <vector>
+
 #include "hash/poseidon.h"
 #include "rln/epoch.h"
 #include "rln/group.h"
@@ -42,6 +47,106 @@ TEST(ExternalNullifierTest, SlotsAreDistinct) {
 TEST(ExternalNullifierTest, BoundsChecked) {
   EXPECT_THROW(rln::external_nullifier(1, 3, 3), std::out_of_range);
   EXPECT_THROW(rln::external_nullifier(1, 0, 0), std::invalid_argument);
+}
+
+// For k > 1 external_nullifier answers from a per-thread memo. Every
+// answer must equal the unmemoised definition, whatever the access order.
+Fr direct_nullifier(std::uint64_t epoch, std::uint64_t index) {
+  return hash::poseidon_hash2(Fr::from_u64(epoch), Fr::from_u64(index));
+}
+
+constexpr std::uint64_t kMemoRates[] = {2, 3, 7};
+
+TEST(ExternalNullifierMemoTest, SweepMatchesDirectPoseidon) {
+  for (std::uint64_t rate : kMemoRates) {
+    for (std::uint64_t epoch = 0; epoch <= 300; ++epoch) {
+      for (std::uint64_t slot = 0; slot < rate; ++slot) {
+        const Fr want = direct_nullifier(epoch, slot);
+        EXPECT_EQ(rln::external_nullifier(epoch, slot, rate), want)
+            << "epoch " << epoch << " slot " << slot << " rate " << rate;
+        // The second call is answered by the memo.
+        EXPECT_EQ(rln::external_nullifier(epoch, slot, rate), want)
+            << "repeat: epoch " << epoch << " slot " << slot << " rate " << rate;
+      }
+    }
+  }
+}
+
+TEST(ExternalNullifierMemoTest, CollidingEpochsDoNotAlias) {
+  // Epochs 64 apart map to the same entry of a 64-entry direct-mapped
+  // table at every rate (and 32 apart at rate 2); alternating between
+  // them evicts on every call, and each answer must still be its own.
+  for (std::uint64_t rate : kMemoRates) {
+    for (std::uint64_t epoch = 0; epoch < 40; ++epoch) {
+      for (std::uint64_t slot = 0; slot < rate; ++slot) {
+        for (std::uint64_t other : {epoch + 64, epoch + 128, epoch + 32, epoch}) {
+          EXPECT_EQ(rln::external_nullifier(other, slot, rate),
+                    direct_nullifier(other, slot))
+              << "epoch " << other << " slot " << slot << " rate " << rate;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExternalNullifierMemoTest, AlternatingRatesOnOneThread) {
+  // The same (epoch, slot) asked under different rates, interleaved with
+  // the bare-epoch k = 1 case: a hit must match the whole triple.
+  for (std::uint64_t epoch = 0; epoch < 100; ++epoch) {
+    for (std::uint64_t rate : {2ull, 7ull, 3ull, 1ull, 2ull, 3ull}) {
+      for (std::uint64_t slot = 0; slot < rate; ++slot) {
+        const Fr want = rate == 1 ? Fr::from_u64(epoch) : direct_nullifier(epoch, slot);
+        EXPECT_EQ(rln::external_nullifier(epoch, slot, rate), want)
+            << "epoch " << epoch << " slot " << slot << " rate " << rate;
+      }
+    }
+  }
+}
+
+TEST(ExternalNullifierMemoTest, FourThreadsOverlappingSweepsMatchReference) {
+  // Shard lanes validate concurrently; each thread has its own memo, so
+  // overlapping sweeps in different orders must all see the reference.
+  constexpr std::uint64_t kSweep = 100;
+  constexpr std::uint64_t kEpochs = 20 * 3 + kSweep;
+  std::vector<Fr> reference;  // [rate idx][epoch][slot < 7]
+  for (std::uint64_t rate : kMemoRates) {
+    for (std::uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
+      for (std::uint64_t slot = 0; slot < 7; ++slot) {
+        reference.push_back(slot < rate ? direct_nullifier(epoch, slot) : Fr::zero());
+      }
+    }
+  }
+  const auto ref = [&](std::size_t r, std::uint64_t epoch, std::uint64_t slot) {
+    return reference[(r * kEpochs + epoch) * 7 + slot];
+  };
+
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> checked{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      // Thread t sweeps epochs [20t, 20t + 100) once per rate (rates
+      // rotated by t), forwards on even threads and backwards on odd
+      // ones; a sweep is long enough to wrap the table.
+      for (std::size_t k = 0; k < std::size(kMemoRates); ++k) {
+        const std::size_t r = (k + t) % std::size(kMemoRates);
+        const std::uint64_t rate = kMemoRates[r];
+        for (std::uint64_t step = 0; step < kSweep; ++step) {
+          const std::uint64_t epoch =
+              t % 2 == 0 ? 20 * t + step : 20 * t + kSweep - 1 - step;
+          for (std::uint64_t slot = 0; slot < rate; ++slot) {
+            if (rln::external_nullifier(epoch, slot, rate) != ref(r, epoch, slot)) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+            checked.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(checked.load(), 4u * kSweep * (2u + 3u + 7u));
 }
 
 struct RateFixture {

@@ -9,6 +9,7 @@
 #include "rln/signal.h"
 #include "shamir/shamir.h"
 #include "util/rng.h"
+#include "zksnark/rln_circuit.h"
 
 namespace wakurln::rln {
 namespace {
@@ -190,6 +191,66 @@ TEST(ProverTest, DifferentEpochsYieldUnlinkableNullifiers) {
   const auto s2 = f.prover.create_signal(util::to_bytes("m"), 10, f.group, f.index, f.rng);
   ASSERT_TRUE(s1 && s2);
   EXPECT_NE(s1->nullifier, s2->nullifier);
+}
+
+// verify_prepared takes the caller's x = H(m) instead of the payload; fed
+// message_to_x(payload) it must give verify(payload, signal)'s verdict.
+bool prepared_verdict(const RlnVerifier& v, std::span<const std::uint8_t> payload,
+                      const RlnSignal& signal) {
+  return v.verify_prepared(signal, zksnark::RlnCircuit::message_to_x(payload));
+}
+
+TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnValidSignal) {
+  ProverFixture f;
+  const Bytes payload = util::to_bytes("valid");
+  const auto signal = f.prover.create_signal(payload, 42, f.group, f.index, f.rng);
+  ASSERT_TRUE(signal.has_value());
+  EXPECT_TRUE(f.verifier.verify(payload, *signal));
+  EXPECT_TRUE(prepared_verdict(f.verifier, payload, *signal));
+}
+
+TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnTamperedProof) {
+  ProverFixture f;
+  const Bytes payload = util::to_bytes("tampered");
+  const auto signal = f.prover.create_signal(payload, 42, f.group, f.index, f.rng);
+  ASSERT_TRUE(signal.has_value());
+  for (std::size_t pos = 0; pos < zksnark::Proof::kSize; ++pos) {
+    RlnSignal bad = *signal;
+    bad.proof.bytes[pos] ^= 0x01;
+    EXPECT_FALSE(f.verifier.verify(payload, bad)) << "byte " << pos;
+    EXPECT_FALSE(prepared_verdict(f.verifier, payload, bad)) << "byte " << pos;
+  }
+}
+
+TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnWrongPayload) {
+  // A substituted payload hashes to a different x, which the proof does
+  // not bind: both paths reject.
+  ProverFixture f;
+  const auto signal =
+      f.prover.create_signal(util::to_bytes("original"), 42, f.group, f.index, f.rng);
+  ASSERT_TRUE(signal.has_value());
+  const Bytes forged = util::to_bytes("forged");
+  EXPECT_FALSE(f.verifier.verify(forged, *signal));
+  EXPECT_FALSE(prepared_verdict(f.verifier, forged, *signal));
+}
+
+TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnEverySlotAtRateThree) {
+  ProverFixture f;
+  const RlnProver prover3(f.keys.pk, f.id, 3);
+  const RlnVerifier verifier3(f.keys.vk, 3);
+  for (std::uint64_t slot = 0; slot < 3; ++slot) {
+    const Bytes payload = util::to_bytes("slot " + std::to_string(slot));
+    const auto signal = prover3.create_signal(payload, 42, f.group, f.index, f.rng, slot);
+    ASSERT_TRUE(signal.has_value()) << "slot " << slot;
+    EXPECT_TRUE(verifier3.verify(payload, *signal)) << "slot " << slot;
+    EXPECT_TRUE(prepared_verdict(verifier3, payload, *signal)) << "slot " << slot;
+    // Moved to the next slot, the signal no longer matches its proven
+    // external nullifier (the last slot moves out of range instead).
+    RlnSignal moved = *signal;
+    moved.message_index = slot + 1;
+    EXPECT_FALSE(verifier3.verify(payload, moved)) << "slot " << slot;
+    EXPECT_FALSE(prepared_verdict(verifier3, payload, moved)) << "slot " << slot;
+  }
 }
 
 TEST(SignalTest, SerializationRoundTrip) {

@@ -44,15 +44,51 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+// Known answers for 'a' x n, from an independent implementation:
+//   python3 -c "import hashlib; print(hashlib.sha256(b'a' * n).hexdigest())"
+// The lengths walk every padding case: 55 bytes is the longest message
+// whose 0x80 + length fit in its last block, 56..63 spill the length into
+// an extra block, 64/128 are whole blocks, 119/120 repeat the edge one
+// block later.
+struct KnownAnswer {
+  std::size_t n;
+  const char* hex;
+};
+
+constexpr KnownAnswer kRepeatedA[] = {
+    {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {1, "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb"},
+    {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+    {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+    {57, "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"},
+    {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+    {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+    {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+    {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+    {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+    {128, "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"},
+    {1000, "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"},
+};
+
 TEST(Sha256Test, ExactBlockBoundaries) {
-  // 55, 56, 63, 64, 65 bytes cross the padding edge cases.
-  for (std::size_t n : {55u, 56u, 63u, 64u, 65u, 119u, 128u}) {
-    const std::string msg(n, 'x');
-    Sha256 a;
-    a.update(msg);
-    const Digest d1 = a.finalize();
-    const Digest d2 = Sha256::digest(msg);
-    EXPECT_EQ(d1, d2) << "length " << n;
+  for (const auto& [n, hex] : kRepeatedA) {
+    EXPECT_EQ(to_hex(Sha256::digest(std::string(n, 'a'))), hex) << "length " << n;
+  }
+}
+
+TEST(Sha256Test, SplitUpdatesStraddlingPaddingEdges) {
+  // Two update() calls whose boundary sits on either side of byte 56
+  // (where the length field starts) or of the 64-byte block edge: the
+  // buffered tail finalize() pads must not depend on how it was fed.
+  for (const auto& [n, hex] : kRepeatedA) {
+    for (std::size_t split : {1u, 55u, 56u, 57u, 63u, 64u, 65u}) {
+      if (split > n) continue;
+      const std::string msg(n, 'a');
+      Sha256 h;
+      h.update(std::string_view(msg).substr(0, split));
+      h.update(std::string_view(msg).substr(split));
+      EXPECT_EQ(to_hex(h.finalize()), hex) << "length " << n << " split at " << split;
+    }
   }
 }
 

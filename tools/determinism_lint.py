@@ -69,6 +69,16 @@ SCAN_GLOBS = [
     "src/merkle/*.cpp",
     "src/zksnark/*.h",
     "src/zksnark/*.cpp",
+    # Per-hop RLN validation: the prover/verifier, external nullifiers
+    # (with their per-thread memo), nullifier maps, H(m) and the relay's
+    # validator decide every verdict, nullifier record and slash the
+    # report counts.
+    "src/rln/*.h",
+    "src/rln/*.cpp",
+    "src/hash/sha256.h",
+    "src/hash/sha256.cpp",
+    "src/waku/rln_relay.h",
+    "src/waku/rln_relay.cpp",
     "src/obs/*.h",
     "src/obs/*.cpp",
     "src/util/json.h",
