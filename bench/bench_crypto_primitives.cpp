@@ -51,35 +51,16 @@ int main() {
     runner.metric("field_mul_batch_speedup", field_mul_scalar_ns / s.median_ns, "x");
   }
 
-  double field_inverse_scalar_ns = 0.0;
   {
     util::Rng rng(2);
     field::Fr a = field::Fr::random(rng);
-    const auto& s = runner.run(
+    runner.run(
         "field_inverse",
         [&] {
           for (int i = 0; i < 100; ++i) a = a.inverse();
           bench::do_not_optimize(a);
         },
         /*reps=*/20, /*warmup=*/3, /*batch=*/100);
-    field_inverse_scalar_ns = s.median_ns;
-  }
-
-  {
-    // Montgomery batch inversion: one Fermat ladder + 3(n-1) mults for
-    // the whole span, against n ladders scalar-side.
-    util::Rng rng(2);
-    std::vector<field::Fr> xs(100);
-    for (auto& x : xs) x = field::Fr::random(rng);
-    const auto& s = runner.run(
-        "field_inverse_batch",
-        [&] {
-          field::Fr::batch_inverse(xs);
-          bench::do_not_optimize(xs.data());
-        },
-        /*reps=*/20, /*warmup=*/3, /*batch=*/100);
-    runner.metric("field_inverse_batch_speedup", field_inverse_scalar_ns / s.median_ns,
-                  "x");
   }
 
   double poseidon_scalar_ns = 0.0;

@@ -18,7 +18,6 @@
 #include "rln/group.h"
 #include "rln/identity.h"
 #include "rln/prover.h"
-#include "zksnark/batch_verifier.h"
 #include "zksnark/cost_model.h"
 #include "zksnark/rln_circuit.h"
 
@@ -142,19 +141,6 @@ int main() {
 
   runner.metric("modeled_iphone8_verify_ms",
                 zksnark::CostModel::verify_ms(zksnark::DeviceProfile::iphone8()), "ms");
-
-  {
-    // Modeled amortised batch verification (random-linear-combination
-    // Groth16): the per-epoch queue drains a watermark-full batch for
-    // one shared pairing product plus a cheap marginal term. Pure cost
-    // model — deterministic, gated in CI.
-    const zksnark::DeviceProfile dev = zksnark::DeviceProfile::laptop();
-    zksnark::BatchVerifier queue(64, dev);
-    for (int i = 0; i < 640; ++i) queue.enqueue();
-    runner.metric("modeled_batch64_verify_speedup", queue.modeled_speedup(), "x");
-    runner.metric("modeled_batch64_verify_ms",
-                  zksnark::CostModel::batch_verify_ms(64, dev) / 64.0, "ms/proof");
-  }
 
   std::printf("\nshape check: both series are flat — verification is constant-time\n"
               "in depth and group size, matching the paper's 30 ms anchor shape.\n");

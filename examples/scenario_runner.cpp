@@ -19,9 +19,6 @@
 //   --link-profile L    uniform | geo (per-link latency from region pairs)
 //   --world-threads W   scheduler shards per run (default 1; every
 //                       deterministic report byte is identical at any W)
-//   --scalar-crypto     disable the batched crypto hot path and run the
-//                       scalar reference implementations (reports are
-//                       byte-identical either way)
 //   --obs               sample the per-epoch time series (TIMESERIES_*.json)
 //   --trace             record the seed0 message-lifecycle trace
 //                       (TRACE_*.json, Chrome trace-event format; load it
@@ -61,7 +58,6 @@ void run_one(scenario::ScenarioSpec spec, const util::CliArgs& args) {
   }
   spec.world_threads =
       static_cast<unsigned>(args.get_u64("world-threads", spec.world_threads));
-  if (args.has("scalar-crypto")) spec.batch_crypto = false;
   if (args.has("obs")) spec.observability = true;
   if (args.has("trace")) spec.trace = true;
   spec.trace_capacity =
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
     std::printf("usage: %s --list | --scenario NAME | --all "
                 "[--seeds K] [--seed0 S] [--threads T] [--nodes N] [--epochs E] "
                 "[--payload-bytes P] [--topics K] [--link-profile uniform|geo] "
-                "[--world-threads W] [--scalar-crypto] [--obs] [--trace] "
+                "[--world-threads W] [--obs] [--trace] "
                 "[--trace-capacity C] "
                 "[--out DIR]\n\n",
                 args.program().c_str());

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <vector>
 
 #include "util/bytes.h"
 #include "util/check.h"
@@ -197,19 +196,15 @@ struct FrDetail {
   static Fr make(const Limbs& limbs) { return Fr(limbs); }
 };
 
-namespace {
-using FrAccess = FrDetail;
-}  // namespace
-
 Fr Fr::one() {
-  return FrAccess::make(kOneMont);
+  return FrDetail::make(kOneMont);
 }
 
 Fr Fr::from_u64(std::uint64_t v) {
   Limbs x = {v, 0, 0, 0};
   Limbs out;
   mont_mul(x, kR2, out);
-  return FrAccess::make(out);
+  return FrDetail::make(out);
 }
 
 Fr Fr::from_bytes_be(std::span<const std::uint8_t> bytes) {
@@ -217,7 +212,7 @@ Fr Fr::from_bytes_be(std::span<const std::uint8_t> bytes) {
   reduce_canonical(x);
   Limbs out;
   mont_mul(x, kR2, out);
-  return FrAccess::make(out);
+  return FrDetail::make(out);
 }
 
 std::optional<Fr> Fr::from_bytes_canonical(std::span<const std::uint8_t> bytes) {
@@ -226,7 +221,7 @@ std::optional<Fr> Fr::from_bytes_canonical(std::span<const std::uint8_t> bytes) 
   if (geq(x, kModulus)) return std::nullopt;
   Limbs out;
   mont_mul(x, kR2, out);
-  return FrAccess::make(out);
+  return FrDetail::make(out);
 }
 
 Fr Fr::random(util::Rng& rng) {
@@ -238,7 +233,7 @@ Fr Fr::random(util::Rng& rng) {
     if (geq(x, kModulus)) continue;
     Limbs out;
     mont_mul(x, kR2, out);
-    return FrAccess::make(out);
+    return FrDetail::make(out);
   }
 }
 
@@ -253,26 +248,26 @@ std::array<std::uint8_t, Fr::kByteSize> Fr::modulus_bytes_be() {
 Fr Fr::operator+(const Fr& o) const {
   Limbs out;
   add_mod(limbs_, o.limbs_, out);
-  return FrAccess::make(out);
+  return FrDetail::make(out);
 }
 
 Fr Fr::operator-(const Fr& o) const {
   Limbs out;
   sub_mod(limbs_, o.limbs_, out);
-  return FrAccess::make(out);
+  return FrDetail::make(out);
 }
 
 Fr Fr::operator*(const Fr& o) const {
   Limbs out;
   mont_mul(limbs_, o.limbs_, out);
-  return FrAccess::make(out);
+  return FrDetail::make(out);
 }
 
 Fr Fr::operator-() const {
   if (is_zero()) return *this;
   Limbs out = kModulus;
   sub_in_place(out, limbs_);
-  return FrAccess::make(out);
+  return FrDetail::make(out);
 }
 
 Fr Fr::square() const {
@@ -328,39 +323,11 @@ void Fr::square_batch(std::span<const Fr> a, std::span<Fr> out) {
   mul_batch(a, a, out);
 }
 
-void Fr::batch_inverse(std::span<Fr> xs) {
-  if (xs.empty()) return;
-  // Zero scan first so a throw leaves the span untouched.
-  for (const Fr& x : xs) {
-    if (x.is_zero()) {
-      throw std::domain_error("Fr::batch_inverse: zero has no inverse");
-    }
-  }
-  if (xs.size() == 1) {
-    xs[0] = xs[0].inverse();
-    return;
-  }
-  // Montgomery's trick: prefix[i] = x0 * ... * xi, one inversion of the
-  // full product, then walk back emitting each inverse.
-  std::vector<Fr> prefix(xs.size());
-  prefix[0] = xs[0];
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    prefix[i] = prefix[i - 1] * xs[i];
-  }
-  Fr inv = prefix.back().inverse();
-  for (std::size_t i = xs.size() - 1; i > 0; --i) {
-    const Fr xi = xs[i];
-    xs[i] = inv * prefix[i - 1];
-    inv = inv * xi;
-  }
-  xs[0] = inv;
-}
-
 namespace {
 
-// acc += a * b as a full 512-bit product (schoolbook 4x4) — the shared
-// core of FrAcc::add_mul and the fused matrix kernel. Callers bound the
-// term count so the sum stays below 2^512.
+// acc += a * b as a full 512-bit product (schoolbook 4x4) — the
+// accumulate step of the fused matrix kernel. Callers bound the term
+// count so the sum stays below 2^512 (16 * r^2 is about 2^511.2).
 inline void acc_add_mul(u64 acc[8], const Limbs& a, const Limbs& b) {
   for (int i = 0; i < 4; ++i) {
     u128 carry = 0;
@@ -381,8 +348,8 @@ inline void acc_add_mul(u64 acc[8], const Limbs& a, const Limbs& b) {
 }
 
 // One round of the 512-bit Montgomery reduction: m = t[i] * n0inv;
-// t += m * r << (64 * i). Factored (like mont_iter) so the scalar and
-// interleaved multi-row reductions execute the same per-row schedule.
+// t += m * r << (64 * i). Factored (like mont_iter) so every interleaved
+// row executes the same schedule.
 inline void acc_reduce_round(u64 t[9], int i) {
   const u64 m = t[i] * kN0Inv;
   u128 carry = 0;
@@ -411,31 +378,13 @@ inline void acc_reduce_finish(const u64 t[9], Limbs& out) {
 
 }  // namespace
 
-void FrAcc::add_mul(const Fr& a, const Fr& b) {
-  WAKURLN_CHECK(terms_ < kMaxTerms);
-  ++terms_;
-  acc_add_mul(acc_.data(), a.limbs_, b.limbs_);
-}
-
-Fr FrAcc::reduce() const {
-  // Montgomery reduction of the 512-bit accumulator: the result is
-  // acc * R^{-1} mod r — exactly sum(mont_mul(a_i, b_i)) mod r — and is
-  // canonicalised by acc_reduce_finish.
-  u64 t[9] = {acc_[0], acc_[1], acc_[2], acc_[3], acc_[4],
-              acc_[5], acc_[6], acc_[7], 0};
-  for (int i = 0; i < 4; ++i) acc_reduce_round(t, i);
-  Limbs r;
-  acc_reduce_finish(t, r);
-  return FrAccess::make(r);
-}
-
 void Fr::mat3_mul_fused(const std::array<std::array<Fr, 3>, 3>& m,
                         const std::array<Fr, 3>& v, std::array<Fr, 3>& out) {
   // Three rows, three independent accumulate-then-reduce chains,
   // interleaved so the core can overlap the 64x64 multiplies across rows
-  // (the mont_mul_x4 trick applied to the FrAcc schedule). Per row this
-  // is operation-for-operation FrAcc::add_mul x3 + reduce(), so each
-  // output is bit-identical to the unfused accumulator path.
+  // (the mont_mul_x4 trick). Per row the result is acc * R^{-1} mod r —
+  // exactly sum(mont_mul(m_ij, v_j)) mod r — stored canonically, so each
+  // output is bit-identical to the scalar mul/add chain.
   u64 r0[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
   u64 r1[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
   u64 r2[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
@@ -454,9 +403,9 @@ void Fr::mat3_mul_fused(const std::array<std::array<Fr, 3>, 3>& m,
   acc_reduce_finish(r0, o0);
   acc_reduce_finish(r1, o1);
   acc_reduce_finish(r2, o2);
-  out[0] = FrAccess::make(o0);
-  out[1] = FrAccess::make(o1);
-  out[2] = FrAccess::make(o2);
+  out[0] = FrDetail::make(o0);
+  out[1] = FrDetail::make(o1);
+  out[2] = FrDetail::make(o2);
 }
 
 bool Fr::is_zero() const {

@@ -78,22 +78,13 @@ class Fr {
 
   /// Fused 3x3 matrix-vector product: out[i] = m[i][0]*v[0] + m[i][1]*v[1]
   /// + m[i][2]*v[2], each row accumulated as full 512-bit products with a
-  /// single Montgomery reduction at the end (the FrAcc schedule), and the
-  /// three independent row chains interleaved for instruction-level
-  /// parallelism. Every row is bit-identical to the FrAcc add_mul/reduce
-  /// sequence — and hence to the scalar mul/add chain — because all three
-  /// are equal mod r and stored canonically. `out` must not alias `v`.
-  /// This is the MDS-mix kernel of the batched Poseidon permutation.
+  /// single Montgomery reduction at the end, and the three independent
+  /// row chains interleaved for instruction-level parallelism. Every row
+  /// is bit-identical to the scalar mul/add chain because both are equal
+  /// mod r and stored canonically. `out` must not alias `v`. This is the
+  /// MDS-mix kernel of the batched Poseidon permutation.
   static void mat3_mul_fused(const std::array<std::array<Fr, 3>, 3>& m,
                              const std::array<Fr, 3>& v, std::array<Fr, 3>& out);
-
-  /// In-place Montgomery batch inversion: one Fermat inversion plus
-  /// 3(n-1) multiplications instead of n inversions. The inverse of a
-  /// unit is unique mod r and elements are stored canonically, so each
-  /// result is bit-identical to the per-element inverse(). Throws
-  /// std::domain_error if any element is zero (matching inverse()),
-  /// leaving the span unmodified.
-  static void batch_inverse(std::span<Fr> xs);
 
   bool is_zero() const;
   bool operator==(const Fr& o) const { return limbs_ == o.limbs_; }
@@ -115,42 +106,8 @@ class Fr {
   explicit constexpr Fr(const std::array<std::uint64_t, 4>& limbs) : limbs_(limbs) {}
 
   friend struct FrDetail;  // implementation access (fr.cpp)
-  friend class FrAcc;
 
   std::array<std::uint64_t, 4> limbs_;
-};
-
-/// Fused multiply-accumulate over Fr. Accumulates full 512-bit products
-/// a*b into a double-width register and performs one Montgomery
-/// reduction at the end, instead of one interleaved reduction per
-/// product. Because sum(mont_mul(a_i, b_i)) mod r equals
-/// REDC(sum(a_i * b_i)) and both sides are stored canonically, reduce()
-/// is bit-identical to the chain of scalar multiply-adds it replaces.
-///
-/// Capacity: at most kMaxTerms products per reduction — 16 * r^2 is
-/// about 2^511.2, still inside the 512-bit accumulator, while 32 terms
-/// would overflow (r is about 2^253.6).
-class FrAcc {
- public:
-  static constexpr int kMaxTerms = 16;
-
-  FrAcc() = default;
-
-  /// acc += a * b (full product, no reduction).
-  void add_mul(const Fr& a, const Fr& b);
-
-  /// One Montgomery reduction of the accumulator to a canonical element.
-  Fr reduce() const;
-
-  void clear() {
-    acc_ = {};
-    terms_ = 0;
-  }
-  int terms() const { return terms_; }
-
- private:
-  std::array<std::uint64_t, 8> acc_{};
-  int terms_ = 0;
 };
 
 /// Hash functor so Fr can key unordered containers.

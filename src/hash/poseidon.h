@@ -48,8 +48,8 @@ field::Fr poseidon_hash2(const field::Fr& a, const field::Fr& b);
 
 /// Applies the Poseidon permutation to many independent width-3 states.
 /// Runs the identical per-state operation schedule as poseidon_permute
-/// (S-boxes through Fr::mul_batch lanes, MDS rows through one fused
-/// FrAcc reduction), so every output state is bit-identical to calling
+/// (S-boxes through Fr::mul_batch lanes, MDS rows through
+/// Fr::mat3_mul_fused), so every output state is bit-identical to calling
 /// poseidon_permute on it — poseidon_permute stays the executable
 /// reference spec, pinned by tests/poseidon_test.cpp.
 void poseidon_permute_batch(

@@ -38,61 +38,6 @@ std::uint64_t MerkleFrontier::append(const field::Fr& leaf) {
   return index;
 }
 
-std::uint64_t MerkleFrontier::append_batch(std::span<const field::Fr> leaves) {
-  const std::uint64_t k = leaves.size();
-  if (k == 0) return next_index_;
-  if (k > capacity() || next_index_ > capacity() - k) {
-    throw std::length_error("MerkleFrontier: capacity exhausted");
-  }
-  const std::uint64_t base = next_index_;
-  next_index_ += k;
-
-  // Level-synchronous replay of the per-leaf walks. At each level the
-  // in-flight values occupy contiguous node indices [s, e]; a leading
-  // odd node folds with the pre-batch frontier (exactly what the first
-  // arriving walk would read), interior pairs fold with each other, and
-  // the frontier slot ends up holding the value of the largest even
-  // node — the same slot state the sequence of scalar appends leaves
-  // behind, including the left-sibling value root() folds against.
-  std::vector<field::Fr> cur(leaves.begin(), leaves.end());
-  std::vector<field::Fr> lefts;
-  std::vector<field::Fr> rights;
-  std::vector<field::Fr> parents;
-  std::uint64_t s = base;
-  std::size_t level = 0;
-  for (; level < depth_ && !cur.empty(); ++level) {
-    const std::uint64_t e = s + cur.size() - 1;
-    const field::Fr pre = frontier_[level];
-    if ((e & 1) == 0) {
-      frontier_[level] = cur[static_cast<std::size_t>(e - s)];
-    } else if (e > s) {
-      frontier_[level] = cur[static_cast<std::size_t>(e - 1 - s)];
-    }
-    lefts.clear();
-    rights.clear();
-    std::size_t i = 0;
-    if (s & 1) {
-      lefts.push_back(pre);
-      rights.push_back(cur[0]);
-      i = 1;
-    }
-    for (; i + 1 < cur.size(); i += 2) {
-      lefts.push_back(cur[i]);
-      rights.push_back(cur[i + 1]);
-    }
-    parents.resize(lefts.size());
-    hash::poseidon_hash2_batch(lefts, rights, parents);
-    cur.assign(parents.begin(), parents.end());
-    s >>= 1;
-  }
-  // A value surviving past the top level means the final leaf filled the
-  // tree; mirror append()'s push of the now-final root.
-  if (!cur.empty() && level == depth_) {
-    frontier_.push_back(cur.back());
-  }
-  return base;
-}
-
 field::Fr MerkleFrontier::root() const {
   if (next_index_ == capacity() && frontier_.size() > depth_) {
     return frontier_[depth_];

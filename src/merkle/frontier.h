@@ -7,7 +7,6 @@
 // paper's "0.128 KB" order of magnitude. Benchmarked in bench_merkle_storage.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "field/fr.h"
@@ -26,14 +25,6 @@ class MerkleFrontier {
 
   /// Appends a leaf; returns its index. Throws std::length_error when full.
   std::uint64_t append(const field::Fr& leaf);
-
-  /// Appends `leaves` in one wavefront pass: per level, sibling pairs
-  /// fold through poseidon_hash2_batch instead of one walk per leaf.
-  /// Returns the index of the first appended leaf. The resulting
-  /// frontier state (and hence every future root()) is bit-identical to
-  /// sequential append() calls. Throws std::length_error when the batch
-  /// does not fit.
-  std::uint64_t append_batch(std::span<const field::Fr> leaves);
 
   /// Current root (identical to MerkleTree::root() after the same appends).
   field::Fr root() const;

@@ -58,7 +58,7 @@ class RlnVerifier {
   /// and tests/zksnark_test.cpp), through the allocation-free
   /// PreparedVerifier with precomputed HMAC midstates. The relay computes
   /// x once per validation and hands it to both this check and its
-  /// nullifier map; this is the path its batched-crypto mode runs.
+  /// nullifier map; this is the relay's one production verify path.
   bool verify_prepared(const RlnSignal& signal, const field::Fr& x) const;
 
  private:

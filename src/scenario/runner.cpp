@@ -886,7 +886,6 @@ MetricSet ScenarioRunner::run_rln() {
   cfg.link = spec_.link;
   cfg.rln.epoch_period_seconds = spec_.epoch_seconds;
   cfg.rln.messages_per_epoch = spec_.messages_per_epoch;
-  cfg.rln.batch_crypto = spec_.batch_crypto;
   cfg.link_profile = spec_.link_profile;
   if (spec_.seen_ttl_seconds > 0) {
     cfg.gossip.seen_ttl = spec_.seen_ttl_seconds * sim::kUsPerSecond;

@@ -224,15 +224,6 @@ struct ScenarioSpec {
   /// (the tracer is not shard-aware; validate() enforces it).
   unsigned world_threads = 1;
 
-  /// Batched crypto hot path (block-batched Merkle appends, prepared
-  /// proof verification, modeled amortised-verification queue). Every
-  /// deterministic report byte is identical on or off — the batch paths
-  /// are pinned bit-equal to the scalar reference implementations
-  /// (tests/report_pins_test.cpp sweeps both) — so like `world_threads`
-  /// it is not part of the spec's serialized identity. Off = the scalar
-  /// reference paths, kept as the executable spec.
-  bool batch_crypto = true;
-
   // -- observability -----------------------------------------------------
   /// Enables the metrics registry and the per-epoch time-series sampler
   /// (src/obs). Off by default: a disabled registry hands out inert

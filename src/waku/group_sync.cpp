@@ -2,33 +2,22 @@
 
 namespace wakurln::waku {
 
-GroupSync::GroupSync(eth::Chain& chain, std::size_t tree_depth, bool batch_appends)
-    : group_(tree_depth), batch_appends_(batch_appends) {
+GroupSync::GroupSync(eth::Chain& chain, std::size_t tree_depth) : group_(tree_depth) {
   note_root();  // r_0: the empty tree
   chain.subscribe_events(
       [this](const eth::ContractEvent& ev, const eth::Block&) { on_event(ev); });
-  if (batch_appends_) {
-    chain.subscribe_blocks([this](const eth::Block&) { flush_pending(); });
-  }
+  chain.subscribe_blocks([this](const eth::Block&) { flush_pending(); });
 }
 
 void GroupSync::on_event(const eth::ContractEvent& event) {
   if (const auto* reg = std::get_if<eth::MemberRegistered>(&event)) {
-    if (batch_appends_) {
-      // Stats count at event time, exactly as the scalar path does; the
-      // tree mutation and the root-history entry land at flush time in
-      // the same order. Appending a non-zero leaf always moves the root.
-      pending_pks_.push_back(reg->pk);
-      ++stats_.registrations_applied;
-      ++stats_.root_updates;
-      stats_.sync_bytes += kEventWireBytes;
-      return;
-    }
-    group_.add_member(reg->pk);
+    // Stats count at event time; the tree mutation and the root-history
+    // entry land at flush time in the same order. Appending a non-zero
+    // leaf always moves the root.
+    pending_pks_.push_back(reg->pk);
     ++stats_.registrations_applied;
     ++stats_.root_updates;
     stats_.sync_bytes += kEventWireBytes;
-    note_root();
   } else if (const auto* slashed = std::get_if<eth::MemberSlashed>(&event)) {
     // A slash reads (and edits) current membership: apply everything
     // buffered ahead of it first.

@@ -50,16 +50,15 @@ class GroupSync {
   /// Subscribes to `chain` events immediately; construct before any relay
   /// that reads the group, so membership updates land first.
   ///
-  /// With `batch_appends` (the default), registrations arriving within
-  /// one block are buffered and applied through the tree's amortised
-  /// batch append when the block seals (or earlier, the moment a slash
-  /// needs the up-to-date membership). Every per-registration root still
-  /// enters the history in order and all stats count identically, so
-  /// the externally observable state between blocks — and hence every
-  /// scenario report byte — is identical to per-event application; only
-  /// the Poseidon work inside a registration-heavy block is amortised.
-  GroupSync(eth::Chain& chain, std::size_t tree_depth,
-            bool batch_appends = true);
+  /// Registrations arriving within one block are buffered and applied
+  /// through the tree's amortised batch append when the block seals (or
+  /// earlier, the moment a slash needs the up-to-date membership). Every
+  /// per-registration root still enters the history in order and stats
+  /// count at event time, so the state observable between blocks is
+  /// exactly what one add_member/remove_member per event would give
+  /// (tests/waku_test.cpp checks it against such an oracle); only the
+  /// Poseidon work inside a registration-heavy block is amortised.
+  GroupSync(eth::Chain& chain, std::size_t tree_depth);
 
   const rln::RlnGroup& group() const { return group_; }
   const Stats& stats() const { return stats_; }
@@ -103,8 +102,7 @@ class GroupSync {
 
   rln::RlnGroup group_;
   Stats stats_;
-  bool batch_appends_;
-  /// Registrations buffered since the last flush (batch mode only).
+  /// Registrations buffered since the last flush.
   std::vector<field::Fr> pending_pks_;
   std::vector<field::Fr> pending_roots_;
   /// Consecutive-deduplicated recent roots, newest at the back.

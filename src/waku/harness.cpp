@@ -24,8 +24,7 @@ SimHarness::SimHarness(HarnessConfig config)
   // One group-sync service for the whole world: every peer's tree view is
   // deterministically identical (see group_sync.h), so each contract
   // event is hashed into the Merkle tree once instead of node_count times.
-  sync_ = std::make_shared<GroupSync>(chain_, config_.rln.tree_depth,
-                                      config_.rln.batch_crypto);
+  sync_ = std::make_shared<GroupSync>(chain_, config_.rln.tree_depth);
   const auto& sync = sync_;
 
   // World-shared immutable state, one copy regardless of node count: the

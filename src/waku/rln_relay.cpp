@@ -31,8 +31,7 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
       identity_(rln::Identity::generate(rng_)),
       epochs_(config.epoch_period_seconds, config.max_delay_seconds),
       sync_(group_sync ? std::move(group_sync)
-                       : std::make_shared<GroupSync>(chain, config.tree_depth,
-                                                     config.batch_crypto)),
+                       : std::make_shared<GroupSync>(chain, config.tree_depth)),
       ctx_(ctx ? std::move(ctx)
                : RlnValidatorContext::make(std::move(crs), config.messages_per_epoch)),
       nullifier_map_(ctx_->store) {
@@ -49,10 +48,6 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
   // The current root is r_{floor}; everything older predates this relay
   // and was never in its acceptance window.
   root_floor_ = sync_->current_root_index();
-  if (config_.batch_crypto) {
-    batch_verifier_ =
-        std::make_unique<zksnark::BatchVerifier>(config_.batch_verify_watermark);
-  }
   // The sync's own subscription predates this one, so membership updates
   // are applied to the tree before any relay reads the new root.
   chain_.subscribe_events(
@@ -155,33 +150,9 @@ WakuRlnRelay::PublishOutcome WakuRlnRelay::do_publish(const gossipsub::TopicId& 
   return PublishOutcome::kPublished;
 }
 
-bool WakuRlnRelay::verify_proof(std::span<const std::uint8_t> payload,
-                                const field::Fr& x, const rln::RlnSignal& signal) {
-  // Batched mode verifies through the prepared (allocation-free) path —
-  // same verdict bit-for-bit — and counts the proof into the modeled
-  // amortisation queue. Scalar mode is the executable reference.
-  if (batch_verifier_) {
-    const bool ok = ctx_->verifier.verify_prepared(signal, x);
-    batch_verifier_->enqueue();
-    return ok;
-  }
-  return ctx_->verifier.verify(payload, signal);
-}
-
 bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
-                                       std::span<const std::uint8_t> payload,
                                        const field::Fr& x,
                                        const rln::RlnSignal& signal) {
-  if (config_.proof_cache_entries == 0) {
-    ++stats_.proof_verifications;
-    if (tracer_ != nullptr) {
-      tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
-      const bool ok = verify_proof(payload, x, signal);
-      tracer_->end(now_us(), trace_track_);
-      return ok;
-    }
-    return verify_proof(payload, x, signal);
-  }
   if (const auto it = proof_cache_.find(id); it != proof_cache_.end()) {
     ++stats_.proof_cache_hits;
     if (tracer_ != nullptr) {
@@ -193,9 +164,9 @@ bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
   if (tracer_ != nullptr) {
     tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
   }
-  const bool ok = verify_proof(payload, x, signal);
+  const bool ok = ctx_->verifier.verify_prepared(signal, x);
   if (tracer_ != nullptr) tracer_->end(now_us(), trace_track_);
-  if (proof_cache_order_.size() >= config_.proof_cache_entries) {
+  if (proof_cache_order_.size() >= kProofCacheEntries) {
     proof_cache_.erase(proof_cache_order_.front());
     proof_cache_order_.pop_front();
   }
@@ -244,7 +215,7 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
 
   // 4. zkSNARK verification — the content-addressed message id keys a
   // verdict cache, so a re-delivered message costs a map lookup.
-  if (!verify_proof_cached(msg.id, payload, x, signal)) {
+  if (!verify_proof_cached(msg.id, x, signal)) {
     ++stats_.invalid_proof;
     trace_drop("proof");
     return Validation::kReject;
@@ -259,9 +230,7 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
     case rln::NullifierMap::Outcome::kDoubleSignal:
       ++stats_.double_signals;
       trace_drop("double_signal");
-      if (check.breached_sk && config_.auto_slash) {
-        submit_slash(*check.breached_sk);
-      }
+      if (check.breached_sk) submit_slash(*check.breached_sk);
       return Validation::kReject;
     case rln::NullifierMap::Outcome::kFresh:
       break;
@@ -318,8 +287,7 @@ void WakuRlnRelay::schedule_nullifier_gc() {
   // periodic timer holds the one callback for the node's lifetime — no
   // per-epoch lambda re-capture.
   const std::uint64_t keep_epochs =
-      std::max<std::uint64_t>(epochs_.threshold(), 1) *
-      std::max<std::uint64_t>(config_.nullifier_retention_factor, 1);
+      std::max<std::uint64_t>(epochs_.threshold(), 1) * kNullifierRetentionFactor;
   const sim::TimeUs period_us = config_.epoch_period_seconds * sim::kUsPerSecond;
   // Owned by this node's shard lane: the prune touches only this node's
   // nullifier map (the shared store handles its own locking), so GC of
@@ -329,10 +297,6 @@ void WakuRlnRelay::schedule_nullifier_gc() {
         const std::uint64_t epoch = current_epoch();
         if (epoch > keep_epochs) {
           nullifier_map_.prune_before(epoch - keep_epochs);
-        }
-        // Epoch boundary: drain whatever the watermark left queued.
-        if (batch_verifier_) {
-          batch_verifier_->drain(zksnark::BatchVerifier::DrainReason::kEpochBoundary);
         }
       });
 }

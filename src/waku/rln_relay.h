@@ -30,7 +30,6 @@
 #include "rln/prover.h"
 #include "waku/group_sync.h"
 #include "waku/relay.h"
-#include "zksnark/batch_verifier.h"
 
 namespace wakurln::obs {
 class Tracer;
@@ -69,32 +68,22 @@ struct WakuRlnConfig {
   /// How many recent roots a router accepts (tolerates peers proving
   /// against a slightly stale tree during group sync).
   std::size_t acceptable_root_window = 5;
-  /// Automatically submit slashing transactions on double-signals.
-  bool auto_slash = true;
-  /// Keep nullifier records for max(Thr,1)*this epochs before pruning.
-  std::uint64_t nullifier_retention_factor = 2;
   /// Messages each member may publish per epoch. 1 is the paper's scheme;
   /// k > 1 is the RLN-v2-style rate extension: each (epoch, slot) pair is
   /// an independent external nullifier, so slot reuse still leaks the key.
   std::uint64_t messages_per_epoch = 1;
-  /// Capacity of the proof-result cache (message ids; FIFO eviction;
-  /// 0 disables). Cheap insurance: a re-delivered message (late IWANT
-  /// after seen-cache expiry) reuses its zkSNARK verdict.
-  std::size_t proof_cache_entries = 4096;
-  /// Batched crypto hot path: registrations flush through the Merkle
-  /// batch append at block seals, proofs verify through the
-  /// allocation-free PreparedVerifier, and a modeled batch-verification
-  /// queue amortises pairing cost. Verdicts stay synchronous and every
-  /// deterministic report byte is identical either way (pinned by
-  /// tests/report_pins_test.cpp); off = the scalar reference paths.
-  bool batch_crypto = true;
-  /// Queue size at which the modeled batch verifier auto-drains (it also
-  /// drains every epoch). Only meaningful with batch_crypto.
-  std::size_t batch_verify_watermark = 64;
 };
 
 class WakuRlnRelay {
  public:
+  /// Nullifier records are kept for max(Thr,1) * this many epochs before
+  /// pruning.
+  static constexpr std::uint64_t kNullifierRetentionFactor = 2;
+  /// Capacity of the proof-result cache (message ids, FIFO eviction).
+  /// Cheap insurance: a re-delivered message (late IWANT after seen-cache
+  /// expiry) reuses its zkSNARK verdict.
+  static constexpr std::size_t kProofCacheEntries = 4096;
+
   enum class PublishOutcome {
     kPublished,
     kNotRegistered,   ///< no confirmed membership yet
@@ -164,12 +153,6 @@ class WakuRlnRelay {
   const std::shared_ptr<const RlnValidatorContext>& validator_context() const {
     return ctx_;
   }
-  /// The modeled batch-verification queue (nullptr when batch_crypto is
-  /// off). Its stats are deterministic but not part of scenario reports.
-  const zksnark::BatchVerifier* batch_verifier() const {
-    return batch_verifier_.get();
-  }
-
   /// Attaches the message-lifecycle tracer (nullptr detaches). `track` is
   /// the trace track (= node index) this relay's publish / verify /
   /// cache-hit / drop events land on.
@@ -196,13 +179,9 @@ class WakuRlnRelay {
   PublishOutcome do_publish(const gossipsub::TopicId& topic,
                             const util::Bytes& payload, bool enforce_rate_limit);
   gossipsub::Validation validate(sim::NodeId source, const gossipsub::GsMessage& msg);
-  /// One zkSNARK verification: prepared path (on the caller's x = H(m))
-  /// + modeled queue in batched mode, the scalar reference verifier (which
-  /// rehashes the payload) otherwise. Verdicts identical.
-  bool verify_proof(std::span<const std::uint8_t> payload, const field::Fr& x,
-                    const rln::RlnSignal& signal);
-  bool verify_proof_cached(const gossipsub::MessageId& id,
-                           std::span<const std::uint8_t> payload, const field::Fr& x,
+  /// One zkSNARK verification on the caller's x = H(m), answered from
+  /// the proof-result cache when `id` was verified before.
+  bool verify_proof_cached(const gossipsub::MessageId& id, const field::Fr& x,
                            const rln::RlnSignal& signal);
   void on_chain_event(const eth::ContractEvent& event);
   void submit_slash(const field::Fr& sk);
@@ -224,8 +203,6 @@ class WakuRlnRelay {
   /// Built from the shared CRS on first publish: pure relays (the vast
   /// majority of a large world) never pay for a prover.
   std::unique_ptr<rln::RlnProver> prover_;
-  /// Modeled amortised-verification queue (batch_crypto only).
-  std::unique_ptr<zksnark::BatchVerifier> batch_verifier_;
 
   std::optional<std::uint64_t> own_index_;
   std::uint64_t publish_epoch_ = 0;       ///< epoch the counter refers to
@@ -234,7 +211,7 @@ class WakuRlnRelay {
   /// was constructed; roots older than this were never in our window.
   std::uint64_t root_floor_ = 0;
   std::unordered_map<field::Fr, bool, field::FrHash> slash_submitted_;
-  /// Proof verdicts by message id, FIFO-bounded at proof_cache_entries.
+  /// Proof verdicts by message id, FIFO-bounded at kProofCacheEntries.
   std::unordered_map<gossipsub::MessageId, bool, gossipsub::MessageIdHash> proof_cache_;
   std::deque<gossipsub::MessageId> proof_cache_order_;
   PayloadHandler handler_;

@@ -42,10 +42,4 @@ double CostModel::verify_ms(const DeviceProfile& device) {
   return 30.0 * device.snark_scale;
 }
 
-double CostModel::batch_verify_ms(std::size_t n, const DeviceProfile& device) {
-  if (n == 0) return 0.0;
-  constexpr double kMarginalFactor = 0.35;
-  return verify_ms(device) * (1.0 + kMarginalFactor * static_cast<double>(n - 1));
-}
-
 }  // namespace wakurln::zksnark

@@ -41,14 +41,6 @@ class CostModel {
   /// Verification latency in ms: constant 30 ms (× device scale),
   /// independent of depth and group size.
   static double verify_ms(const DeviceProfile& device);
-
-  /// Modelled latency of verifying `n` queued proofs in one amortised
-  /// pass (random-linear-combination Groth16 batch verification: one
-  /// shared pairing product plus a cheap marginal term per extra proof).
-  /// batch_verify_ms(1) == verify_ms; the marginal factor is 0.35, so a
-  /// drained batch of 64 models a ~2.8x amortisation. Deterministic —
-  /// safe to gate in CI.
-  static double batch_verify_ms(std::size_t n, const DeviceProfile& device);
 };
 
 }  // namespace wakurln::zksnark

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
 #include "field/fr.h"
@@ -111,109 +110,11 @@ TEST(FrBatchTest, SquareBatchMatchesScalarSquare) {
 }
 
 // ---------------------------------------------------------------------------
-// batch_inverse
-
-TEST(FrBatchTest, BatchInverseMatchesScalarInverse) {
-  for (std::size_t n : {1u, 2u, 7u, 64u, 333u}) {
-    auto xs = random_elements(n, 0x66 + n);
-    xs[0] = Fr::one();                         // self-inverse edge
-    if (n > 1) xs[1] = r_minus_one();          // (-1)^-1 == -1
-    const auto ref = xs;
-    Fr::batch_inverse(xs);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(xs[i], ref[i].inverse()) << "lane " << i << " of " << n;
-      ASSERT_EQ(xs[i] * ref[i], Fr::one());
-    }
-  }
-}
-
-TEST(FrBatchTest, BatchInverseEmptyIsNoop) {
-  std::vector<Fr> xs;
-  EXPECT_NO_THROW(Fr::batch_inverse(xs));
-}
-
-TEST(FrBatchTest, BatchInverseThrowsOnZeroLeavingSpanUntouched) {
-  for (std::size_t zero_at : {0u, 3u, 6u}) {
-    auto xs = random_elements(7, 0x77);
-    xs[zero_at] = Fr::zero();
-    const auto before = xs;
-    EXPECT_THROW(Fr::batch_inverse(xs), std::domain_error);
-    // The zero scan runs before any mutation: a failed call must leave
-    // every element exactly as it was, wherever the zero sits.
-    EXPECT_EQ(xs, before) << "zero at " << zero_at;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FrAcc — fused multiply-accumulate
-
-TEST(FrAccTest, EmptyAccumulatorReducesToZero) {
-  FrAcc acc;
-  EXPECT_EQ(acc.terms(), 0);
-  EXPECT_EQ(acc.reduce(), Fr::zero());
-}
-
-TEST(FrAccTest, SingleTermMatchesScalarMul) {
-  const auto edges = edge_elements();
-  for (const Fr& a : edges) {
-    for (const Fr& b : edges) {
-      FrAcc acc;
-      acc.add_mul(a, b);
-      ASSERT_EQ(acc.reduce(), a * b);
-    }
-  }
-}
-
-TEST(FrAccTest, FusedDotProductMatchesScalarChain) {
-  Rng rng(0x88);
-  for (int trial = 0; trial < 64; ++trial) {
-    const int terms = 1 + static_cast<int>(rng.next_u64() % FrAcc::kMaxTerms);
-    FrAcc acc;
-    Fr ref = Fr::zero();
-    for (int t = 0; t < terms; ++t) {
-      const Fr a = Fr::random(rng);
-      const Fr b = Fr::random(rng);
-      acc.add_mul(a, b);
-      ref += a * b;
-    }
-    EXPECT_EQ(acc.terms(), terms);
-    ASSERT_EQ(acc.reduce(), ref) << "trial " << trial << " terms " << terms;
-  }
-}
-
-TEST(FrAccTest, FullCapacityOfWorstCaseProductsReduces) {
-  // kMaxTerms copies of (r-1)^2 is the accumulator's documented
-  // worst case: it must still fit the 512-bit register and reduce to
-  // the canonical result.
-  FrAcc acc;
-  Fr ref = Fr::zero();
-  const Fr m1 = r_minus_one();
-  for (int t = 0; t < FrAcc::kMaxTerms; ++t) {
-    acc.add_mul(m1, m1);
-    ref += m1 * m1;
-  }
-  EXPECT_EQ(acc.terms(), FrAcc::kMaxTerms);
-  EXPECT_EQ(acc.reduce(), ref);
-}
-
-TEST(FrAccTest, ClearResetsForReuse) {
-  Rng rng(0x99);
-  FrAcc acc;
-  acc.add_mul(Fr::random(rng), Fr::random(rng));
-  acc.clear();
-  EXPECT_EQ(acc.terms(), 0);
-  EXPECT_EQ(acc.reduce(), Fr::zero());
-  const Fr a = Fr::random(rng), b = Fr::random(rng);
-  acc.add_mul(a, b);
-  EXPECT_EQ(acc.reduce(), a * b);
-}
-
-// ---------------------------------------------------------------------------
 // mat3_mul_fused
 
 TEST(Mat3MulFusedTest, MatchesAccumulatorAndScalarChainOnRandomInputs) {
-  // Per row the fused kernel must be bit-identical both to the FrAcc
-  // path it interleaves and to the plain scalar mul/add chain.
+  // Per row the fused accumulate-then-reduce kernel must be
+  // bit-identical to the plain scalar mul/add chain.
   Rng rng(0xa3);
   for (int trial = 0; trial < 64; ++trial) {
     std::array<std::array<Fr, 3>, 3> m;
@@ -225,13 +126,6 @@ TEST(Mat3MulFusedTest, MatchesAccumulatorAndScalarChainOnRandomInputs) {
     std::array<Fr, 3> out;
     Fr::mat3_mul_fused(m, v, out);
     for (int i = 0; i < 3; ++i) {
-      FrAcc acc;
-      for (int j = 0; j < 3; ++j) {
-        acc.add_mul(m[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
-                    v[static_cast<std::size_t>(j)]);
-      }
-      ASSERT_EQ(out[static_cast<std::size_t>(i)], acc.reduce())
-          << "row " << i << " trial " << trial;
       const auto& mi = m[static_cast<std::size_t>(i)];
       ASSERT_EQ(out[static_cast<std::size_t>(i)],
                 mi[0] * v[0] + mi[1] * v[1] + mi[2] * v[2])

@@ -264,54 +264,6 @@ TEST(MerkleBatchTest, InterleavedBatchesAndSlashChurnMatchScalar) {
   }
 }
 
-TEST(FrontierBatchTest, AppendBatchMatchesScalarAppends) {
-  for (std::size_t depth : {1u, 2u, 3u, 6u}) {
-    const std::uint64_t cap = std::uint64_t{1} << depth;
-    for (std::uint64_t prefill : {0u, 1u, 2u, 3u}) {
-      if (prefill > cap) continue;
-      for (std::size_t batch : {0u, 1u, 2u, 5u, 8u}) {
-        if (prefill + batch > cap) continue;
-        MerkleFrontier batched(depth), scalar(depth);
-        Rng rng(900 + depth * 101 + prefill * 13 + batch);
-        for (std::uint64_t i = 0; i < prefill; ++i) {
-          const Fr leaf = Fr::random(rng);
-          batched.append(leaf);
-          scalar.append(leaf);
-        }
-        std::vector<Fr> leaves;
-        for (std::size_t i = 0; i < batch; ++i) leaves.push_back(Fr::random(rng));
-        batched.append_batch(leaves);
-        for (const Fr& leaf : leaves) scalar.append(leaf);
-        ASSERT_EQ(batched.root(), scalar.root())
-            << "depth " << depth << " prefill " << prefill << " batch " << batch;
-        ASSERT_EQ(batched.size(), scalar.size());
-      }
-    }
-  }
-}
-
-TEST(FrontierBatchTest, BatchFillToCapacityMatchesFullTree) {
-  const std::size_t depth = 5;
-  MerkleTree tree(depth);
-  MerkleFrontier frontier(depth);
-  Rng rng(910);
-  std::vector<Fr> leaves;
-  for (std::uint64_t i = 0; i < (std::uint64_t{1} << depth); ++i) {
-    leaves.push_back(Fr::random(rng));
-  }
-  frontier.append_batch(leaves);
-  for (const Fr& leaf : leaves) tree.append(leaf);
-  EXPECT_EQ(frontier.root(), tree.root());
-}
-
-TEST(FrontierBatchTest, AppendBatchBeyondCapacityThrows) {
-  MerkleFrontier f(2);
-  f.append(Fr::from_u64(1));
-  std::vector<Fr> leaves = {Fr::from_u64(2), Fr::from_u64(3), Fr::from_u64(4),
-                            Fr::from_u64(5)};
-  EXPECT_THROW(f.append_batch(leaves), std::length_error);
-}
-
 TEST(FrontierTest, MatchesFullTreeRootAtEveryStep) {
   for (std::size_t depth : {1u, 2u, 3u, 6u}) {
     MerkleTree tree(depth);

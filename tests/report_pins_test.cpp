@@ -55,7 +55,7 @@ constexpr ReportPin kPins[] = {
     {"pow_baseline", 0xdfefb393ed3913c8ULL},
 };
 
-std::uint64_t pinned_fingerprint(const ReportPin& pin, bool batch_crypto) {
+std::uint64_t pinned_fingerprint(const ReportPin& pin) {
   ScenarioSpec spec;
   bool found = false;
   for (const ScenarioSpec& s : registered_scenarios()) {
@@ -70,7 +70,6 @@ std::uint64_t pinned_fingerprint(const ReportPin& pin, bool batch_crypto) {
 
   spec.nodes = 12;
   spec.traffic_epochs = 3;
-  spec.batch_crypto = batch_crypto;
   CampaignConfig cfg;
   cfg.seeds = 2;
   cfg.seed0 = 1;
@@ -84,30 +83,12 @@ class ReportPinTest : public ::testing::TestWithParam<ReportPin> {};
 
 TEST_P(ReportPinTest, DeterministicReportIsByteIdentical) {
   const ReportPin& pin = GetParam();
-  EXPECT_EQ(pinned_fingerprint(pin, /*batch_crypto=*/true), pin.fingerprint)
+  EXPECT_EQ(pinned_fingerprint(pin), pin.fingerprint)
       << "deterministic report for " << pin.name
       << " drifted from the pre-refactor capture";
 }
 
-// The scalar reference paths (batch_crypto off) must hit the very same
-// captured fingerprints: the batched hot path — Merkle block appends,
-// prepared verification, modeled amortisation queue — changes no
-// deterministic report byte in either direction.
-class ScalarCryptoPinTest : public ::testing::TestWithParam<ReportPin> {};
-
-TEST_P(ScalarCryptoPinTest, ScalarReferenceMatchesBatchedCapture) {
-  const ReportPin& pin = GetParam();
-  EXPECT_EQ(pinned_fingerprint(pin, /*batch_crypto=*/false), pin.fingerprint)
-      << "scalar-crypto report for " << pin.name
-      << " diverged from the batched capture";
-}
-
 INSTANTIATE_TEST_SUITE_P(Catalogue, ReportPinTest, ::testing::ValuesIn(kPins),
-                         [](const ::testing::TestParamInfo<ReportPin>& info) {
-                           return std::string(info.param.name);
-                         });
-
-INSTANTIATE_TEST_SUITE_P(Catalogue, ScalarCryptoPinTest, ::testing::ValuesIn(kPins),
                          [](const ::testing::TestParamInfo<ReportPin>& info) {
                            return std::string(info.param.name);
                          });

@@ -4,7 +4,6 @@
 #include "merkle/merkle_tree.h"
 #include "shamir/shamir.h"
 #include "util/rng.h"
-#include "zksnark/batch_verifier.h"
 #include "zksnark/cost_model.h"
 #include "zksnark/proof_system.h"
 #include "zksnark/rln_circuit.h"
@@ -271,85 +270,6 @@ TEST(PreparedVerifierTest, AgreesWithReferenceOnWrongInputsAndKeys) {
   EXPECT_EQ(prepared_other.verify(*proof, f.pub),
             MockGroth16::verify(other.vk, *proof, f.pub));
   EXPECT_FALSE(prepared_other.verify(*proof, f.pub));
-}
-
-// ---------------------------------------------------------------------------
-// Modeled batch verification.
-
-TEST(CostModelTest, BatchVerifyAnchors) {
-  const DeviceProfile dev = DeviceProfile::laptop();
-  EXPECT_DOUBLE_EQ(CostModel::batch_verify_ms(0, dev), 0.0);
-  // One proof gains nothing: the full pairing product is still paid.
-  EXPECT_DOUBLE_EQ(CostModel::batch_verify_ms(1, dev), CostModel::verify_ms(dev));
-}
-
-TEST(CostModelTest, BatchVerifyAmortisesButStaysMonotone) {
-  const DeviceProfile dev = DeviceProfile::laptop();
-  double prev = 0.0;
-  for (std::size_t n = 1; n <= 256; n *= 2) {
-    const double batched = CostModel::batch_verify_ms(n, dev);
-    const double scalar = static_cast<double>(n) * CostModel::verify_ms(dev);
-    EXPECT_GT(batched, prev) << "n=" << n;  // more proofs cost more...
-    if (n > 1) {
-      EXPECT_LT(batched, scalar) << "n=" << n;  // ...but sublinearly
-    }
-    prev = batched;
-  }
-  // The default watermark (64) models roughly 2.8x amortisation.
-  const double speedup =
-      64.0 * CostModel::verify_ms(dev) / CostModel::batch_verify_ms(64, dev);
-  EXPECT_NEAR(speedup, 2.8, 0.1);
-}
-
-TEST(BatchVerifierTest, WatermarkAutoDrains) {
-  BatchVerifier bv(4);
-  for (int i = 0; i < 3; ++i) bv.enqueue();
-  EXPECT_EQ(bv.pending(), 3u);
-  EXPECT_EQ(bv.stats().drains, 0u);
-  bv.enqueue();  // hits the watermark
-  EXPECT_EQ(bv.pending(), 0u);
-  EXPECT_EQ(bv.stats().drains, 1u);
-  EXPECT_EQ(bv.stats().watermark_drains, 1u);
-  EXPECT_EQ(bv.stats().largest_batch, 4u);
-  EXPECT_EQ(bv.stats().enqueued, 4u);
-}
-
-TEST(BatchVerifierTest, EpochDrainTakesPartialBatch) {
-  BatchVerifier bv(64);
-  for (int i = 0; i < 5; ++i) bv.enqueue();
-  bv.drain(BatchVerifier::DrainReason::kEpochBoundary);
-  EXPECT_EQ(bv.pending(), 0u);
-  EXPECT_EQ(bv.stats().epoch_drains, 1u);
-  EXPECT_EQ(bv.stats().largest_batch, 5u);
-  // An empty drain is a no-op, not a counted drain.
-  bv.drain(BatchVerifier::DrainReason::kEpochBoundary);
-  EXPECT_EQ(bv.stats().drains, 1u);
-}
-
-TEST(BatchVerifierTest, ZeroWatermarkOnlyDrainsExplicitly) {
-  BatchVerifier bv(0);
-  for (int i = 0; i < 100; ++i) bv.enqueue();
-  EXPECT_EQ(bv.pending(), 100u);
-  EXPECT_EQ(bv.stats().drains, 0u);
-  bv.drain(BatchVerifier::DrainReason::kFlush);
-  EXPECT_EQ(bv.stats().flush_drains, 1u);
-  EXPECT_EQ(bv.stats().largest_batch, 100u);
-}
-
-TEST(BatchVerifierTest, ModeledSpeedupMatchesCostModel) {
-  const DeviceProfile dev = DeviceProfile::laptop();
-  BatchVerifier bv(64, dev);
-  EXPECT_DOUBLE_EQ(bv.modeled_speedup(), 1.0);  // nothing drained yet
-  for (int i = 0; i < 64; ++i) bv.enqueue();    // one watermark drain
-  const double expected = 64.0 * CostModel::verify_ms(dev) /
-                          CostModel::batch_verify_ms(64, dev);
-  EXPECT_DOUBLE_EQ(bv.modeled_speedup(), expected);
-  EXPECT_GT(bv.modeled_speedup(), 1.5);  // the CI gate's floor
-  // Stats are a pure function of the call sequence: a second identical
-  // round doubles both cost counters and keeps the ratio.
-  for (int i = 0; i < 64; ++i) bv.enqueue();
-  EXPECT_DOUBLE_EQ(bv.modeled_speedup(), expected);
-  EXPECT_EQ(bv.stats().watermark_drains, 2u);
 }
 
 TEST(CostModelTest, ProveAnchoredAtHalfSecondDepth32) {

@@ -58,9 +58,9 @@ SCAN_GLOBS = [
     "src/waku/harness.h",
     "src/waku/harness.cpp",
     # The batched crypto hot path: field kernels, batch Poseidon, batch
-    # Merkle appends and the modeled verification queue all sit upstream
-    # of root/nullifier/verdict bytes in the report, and the batch paths
-    # promise bit-identity with the scalar reference.
+    # Merkle appends and the prepared verifier all sit upstream of
+    # root/nullifier/verdict bytes in the report, and the batch kernels
+    # promise bit-identity with the scalar operations.
     "src/field/*.h",
     "src/field/*.cpp",
     "src/hash/poseidon.h",
