@@ -4,11 +4,13 @@
 //
 // Emits BENCH_crypto_primitives.json via the shared runner.
 
+#include <array>
 #include <cstdio>
 
 #include "harness.h"
 #include "hash/poseidon.h"
 #include "hash/sha256.h"
+#include "hash/sha256_kernels.h"
 #include "merkle/merkle_tree.h"
 #include "shamir/shamir.h"
 #include "util/rng.h"
@@ -110,6 +112,27 @@ int main() {
         },
         /*reps=*/20, /*warmup=*/3, /*batch=*/100);
     runner.metric("sha256_throughput_mb_s", 1024.0 / s.median_ns * 1000.0, "MB/s");
+
+    // The same 1 KiB (16 blocks + the padding block) through the portable
+    // compression directly, beside the kernel Sha256 selected above. On a
+    // CPU without SHA-NI both are the portable path and the ratio is ~1.
+    std::array<std::uint32_t, 8> state{};
+    std::array<std::uint8_t, 64> pad{};
+    const auto& p = runner.run(
+        "sha256_1kib_portable",
+        [&] {
+          for (int i = 0; i < 100; ++i) {
+            for (std::size_t off = 0; off < data.size(); off += 64) {
+              hash::detail::compress_portable(state.data(), data.data() + off);
+            }
+            hash::detail::compress_portable(state.data(), pad.data());
+            bench::do_not_optimize(state);
+          }
+        },
+        /*reps=*/20, /*warmup=*/3, /*batch=*/100);
+    const bool sha_ni = hash::detail::selected_compress() == hash::detail::compress_sha_ni;
+    runner.metric("sha256_sha_ni", sha_ni ? 1.0 : 0.0, "bool");
+    runner.metric("sha256_kernel_speedup", p.median_ns / s.median_ns, "x");
   }
 
   for (const std::size_t depth : {10u, 20u, 32u}) {

@@ -46,9 +46,12 @@ void MembershipContract::register_member(TxContext& ctx, const field::Fr& pk) {
 
 void MembershipContract::slash(TxContext& ctx, const field::Fr& sk) {
   const GasSchedule& g = chain_.config().gas;
-  // The contract recomputes pk = H(sk) on-chain to validate the evidence.
+  // The contract recomputes pk = H(sk) on-chain to validate the evidence;
+  // the host evaluates it once per distinct sk.
   ctx.gas().charge(g.poseidon_eval);
-  const field::Fr pk = hash::poseidon_hash1(sk);
+  auto memo = pk_of_sk_.find(sk);
+  if (memo == pk_of_sk_.end()) memo = pk_of_sk_.emplace(sk, hash::poseidon_hash1(sk)).first;
+  const field::Fr& pk = memo->second;
 
   ctx.gas().charge(g.sload);  // membership lookup
   const auto it = index_by_pk_.find(pk);

@@ -78,6 +78,13 @@ class MembershipContract {
   std::vector<field::Fr> pks_;
   std::unordered_map<field::Fr, std::uint64_t, field::FrHash> index_by_pk_;
   std::uint64_t active_members_ = 0;
+
+ private:
+  /// Host-side memo of pk = H(sk), keyed by the full sk: one Poseidon per
+  /// distinct submitted secret, however many relays submit it. It caches
+  /// the hash, never membership, and slash() still charges the modeled
+  /// poseidon_eval gas on every call.
+  std::unordered_map<field::Fr, field::Fr, field::FrHash> pk_of_sk_;
 };
 
 /// The paper's contract: flat registry, constant-cost operations.

@@ -1,6 +1,15 @@
 #include "hash/sha256.h"
 
+#include <cstdlib>
 #include <cstring>
+
+#include "hash/sha256_kernels.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define WAKURLN_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace wakurln::hash {
 
@@ -23,12 +32,9 @@ std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      buffer_{} {}
+namespace detail {
 
-void Sha256::process_block(const std::uint8_t* block) {
+void compress_portable(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -42,8 +48,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -62,14 +68,118 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#ifdef WAKURLN_SHA_NI
+
+// SHA-NI compression. sha256rnds2 runs two rounds on the working state
+// split as {A,B,E,F} and {C,D,G,H} (A and C in the top lane), taking the
+// two rounds' W+K sums from the low half of its third operand.
+// sha256msg1/msg2 extend the message schedule four words at a time: for
+// the group of words w[4j..4j+3], j >= 4,
+//   W[j] = msg2(msg1(W[j-4], W[j-3]) + (w[4j-7..4j-4]), W[j-1])
+// where the middle term is alignr(W[j-1], W[j-2]). The ring m[] holds the
+// last four groups; group j lives in m[j % 4].
+__attribute__((target("sha,sse4.1,ssse3")))
+void compress_sha_ni(std::uint32_t* state, const std::uint8_t* block) {
+  // Byte-swaps each 32-bit lane: the block is big-endian words.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+  // {a,b,c,d}, {e,f,g,h} -> ABEF, CDGH lane order.
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  const auto* words = reinterpret_cast<const __m128i*>(block);
+  __m128i m[4] = {_mm_shuffle_epi8(_mm_loadu_si128(words), bswap),
+                  _mm_shuffle_epi8(_mm_loadu_si128(words + 1), bswap),
+                  _mm_shuffle_epi8(_mm_loadu_si128(words + 2), bswap),
+                  _mm_shuffle_epi8(_mm_loadu_si128(words + 3), bswap)};
+  // Fully unrolled, the ring indices and the schedule conditions below
+  // fold to constants and m[] lives in registers.
+#ifdef __clang__
+#pragma unroll
+#else
+#pragma GCC unroll 16
+#endif
+  for (int j = 0; j < 16; ++j) {
+    __m128i wk = _mm_add_epi32(
+        m[j % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK.data() + 4 * j)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (j >= 3 && j < 15) {
+      // Finish W[j+1]; m[(j+1) % 4] holds msg1(W[j-3], W[j-2]).
+      __m128i& next = m[(j + 1) % 4];
+      next = _mm_add_epi32(next, _mm_alignr_epi8(m[j % 4], m[(j + 3) % 4], 4));
+      next = _mm_sha256msg2_epu32(next, m[j % 4]);
+    }
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    if (j >= 1 && j < 13) {
+      // Start W[j+3] in W[j-1]'s slot, now that W[j-1] is spent.
+      m[(j + 3) % 4] = _mm_sha256msg1_epu32(m[(j + 3) % 4], m[j % 4]);
+    }
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  // ABEF, CDGH -> {a,b,c,d}, {e,f,g,h}.
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  // __get_cpuid_count fails when the CPU's highest leaf is below 7.
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && sse41 && ssse3;
+}
+
+#else
+
+void compress_sha_ni(std::uint32_t* /*state*/, const std::uint8_t* /*block*/) {
+  // Unreachable: cpu_has_sha_ni() is false off x86-64, so nothing selects
+  // or may call this.
+  std::abort();
+}
+
+bool cpu_has_sha_ni() { return false; }
+
+#endif  // WAKURLN_SHA_NI
+
+CompressFn selected_compress() {
+  static const CompressFn selected = cpu_has_sha_ni() ? compress_sha_ni : compress_portable;
+  return selected;
+}
+
+}  // namespace detail
+
+Sha256::Sha256()
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
+      buffer_{} {}
+
+void Sha256::process_block(const std::uint8_t* block) {
+  detail::selected_compress()(state_.data(), block);
 }
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) {

@@ -5,6 +5,12 @@
 // Poseidon round constants, and the MAC binding inside the mock zkSNARK
 // backend. Verified against NIST/RFC test vectors and padding-boundary
 // known answers in tests/sha256_test.cpp.
+//
+// The block compression has two implementations (hash/sha256_kernels.h):
+// one on the x86 SHA extensions (SHA-NI) and a portable one. CPUID picks
+// SHA-NI once per process when the CPU reports SHA, SSE4.1 and SSSE3;
+// every other CPU, and every non-x86-64 build, runs the portable one.
+// Both produce identical digests; no build flag or setting selects them.
 
 #include <array>
 #include <cstdint>

@@ -43,6 +43,17 @@ void RlnGroup::remove_member(std::uint64_t index) {
   --active_members_;
 }
 
+RlnGroup RlnGroup::from_leaves(std::size_t tree_depth, std::span<const field::Fr> leaves) {
+  RlnGroup group(tree_depth);
+  group.tree_.append_batch(leaves);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    if (leaves[i].is_zero()) continue;
+    group.index_by_pk_[leaves[i]] = i;
+    ++group.active_members_;
+  }
+  return group;
+}
+
 std::optional<std::uint64_t> RlnGroup::index_of(const field::Fr& pk) const {
   const auto it = index_by_pk_.find(pk);
   if (it == index_by_pk_.end()) return std::nullopt;

@@ -36,6 +36,11 @@ class RlnGroup {
   /// Deletes the member at `index` by zeroing its leaf (slashing).
   void remove_member(std::uint64_t index);
 
+  /// Rebuilds a group from its full leaf sequence, a zero leaf being a
+  /// deleted slot (the persisted snapshot). One batch append: the root
+  /// and every active index equal those of the group the leaves came from.
+  static RlnGroup from_leaves(std::size_t tree_depth, std::span<const field::Fr> leaves);
+
   /// Leaf index of `pk`, if this exact commitment is an active member.
   std::optional<std::uint64_t> index_of(const field::Fr& pk) const;
 

@@ -1,5 +1,7 @@
 #include "rln/persistence.h"
 
+#include <vector>
+
 #include "util/serde.h"
 
 namespace wakurln::rln {
@@ -48,21 +50,17 @@ std::optional<RlnGroup> load_group(std::span<const std::uint8_t> data) {
     if (depth < 1 || depth > 40) return std::nullopt;
     const std::uint64_t leaves = r.get_u64();
     if (leaves > (std::uint64_t{1} << depth)) return std::nullopt;
-    RlnGroup group(depth);
+    // Validate the whole snapshot before any tree work: exact length,
+    // every leaf canonical (zero = a slashed slot).
+    if (r.remaining() != leaves * 32) return std::nullopt;
+    std::vector<field::Fr> leaf_values;
+    leaf_values.reserve(static_cast<std::size_t>(leaves));
     for (std::uint64_t i = 0; i < leaves; ++i) {
       const auto leaf = field::Fr::from_bytes_canonical(r.get_raw(32));
       if (!leaf) return std::nullopt;
-      if (leaf->is_zero()) {
-        // A slashed slot: append a placeholder member, then remove it so
-        // the tree layout (and root) matches the original exactly.
-        group.add_member(field::Fr::one());
-        group.remove_member(i);
-      } else {
-        group.add_member(*leaf);
-      }
+      leaf_values.push_back(*leaf);
     }
-    if (!r.empty()) return std::nullopt;
-    return group;
+    return RlnGroup::from_leaves(depth, leaf_values);
   } catch (const util::DecodeError&) {
     return std::nullopt;
   }

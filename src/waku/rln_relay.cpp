@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "hash/poseidon.h"
 #include "obs/tracer.h"
 #include "util/serde.h"
 
@@ -252,9 +251,10 @@ void WakuRlnRelay::on_chain_event(const eth::ContractEvent& event) {
 }
 
 void WakuRlnRelay::submit_slash(const field::Fr& sk) {
-  const field::Fr pk = hash::poseidon_hash1(sk);
-  if (slash_submitted_[pk]) return;  // one slash tx per offender
-  slash_submitted_[pk] = true;
+  // One slash tx per offender. The recovered sk names the member as
+  // uniquely as pk = H(sk) does, so the guard keys by sk and hashes
+  // nothing; the contract derives pk itself.
+  if (!slash_submitted_.insert(sk).second) return;
   ++stats_.slashes_submitted;
   // Detection runs on this node's shard lane, but the mempool is world
   // state: defer the transaction to the next window barrier. Deferred

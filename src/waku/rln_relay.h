@@ -21,6 +21,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "eth/membership_contract.h"
 #include "rln/epoch.h"
@@ -210,7 +212,8 @@ class WakuRlnRelay {
   /// Absolute index the shared distinct-root sequence had when this relay
   /// was constructed; roots older than this were never in our window.
   std::uint64_t root_floor_ = 0;
-  std::unordered_map<field::Fr, bool, field::FrHash> slash_submitted_;
+  /// Secrets this relay has submitted a slash for (one tx per offender).
+  std::unordered_set<field::Fr, field::FrHash> slash_submitted_;
   /// Proof verdicts by message id, FIFO-bounded at kProofCacheEntries.
   std::unordered_map<gossipsub::MessageId, bool, gossipsub::MessageIdHash> proof_cache_;
   std::deque<gossipsub::MessageId> proof_cache_order_;

@@ -252,6 +252,55 @@ TEST_P(MembershipContractTest, SlashedMemberCannotBeSlashedTwice) {
   EXPECT_FALSE(again.success);
 }
 
+TEST_P(MembershipContractTest, RepeatedSlashOfOneSecretRevertsAtNonMemberGas) {
+  // Every relay that recovers a secret submits it, so the contract sees
+  // the same sk many times. The host evaluates pk = H(sk) once, but the
+  // modeled gas is charged on every call: each late slash costs exactly
+  // what slashing a stranger costs.
+  const Identity id = Identity::generate(rng_);
+  const Identity stranger = Identity::generate(rng_);
+  register_now(chain_, *contract_, kAlice, id.pk, 0, contract_->config().stake_wei);
+  const Receipt non_member = slash_now(chain_, *contract_, kBob, stranger.sk, 20);
+  ASSERT_FALSE(non_member.success);
+
+  std::uint64_t now = 40;
+  EXPECT_TRUE(slash_now(chain_, *contract_, kBob, id.sk, now).success);
+  for (int i = 0; i < 4; ++i) {
+    now += 20;
+    const Receipt again = slash_now(chain_, *contract_, kBob, id.sk, now);
+    EXPECT_FALSE(again.success) << "repeat " << i;
+    EXPECT_EQ(again.error, "not a member") << "repeat " << i;
+    EXPECT_EQ(again.gas_used, non_member.gas_used) << "repeat " << i;
+  }
+  EXPECT_EQ(chain_.ledger().burnt_total(), 500'000u);
+}
+
+TEST_P(MembershipContractTest, ReRegisteredMemberIsSlashableAgain) {
+  // The contract memoises the hash, never membership: a member who
+  // re-registers the same pk after a slash can be slashed again.
+  const Identity id = Identity::generate(rng_);
+  std::vector<MemberSlashed> events;
+  chain_.subscribe_events([&](const ContractEvent& ev, const Block&) {
+    if (const auto* s = std::get_if<MemberSlashed>(&ev)) events.push_back(*s);
+  });
+  const std::uint64_t stake = contract_->config().stake_wei;
+  register_now(chain_, *contract_, kAlice, id.pk, 0, stake);
+  ASSERT_TRUE(slash_now(chain_, *contract_, kBob, id.sk, 20).success);
+  ASSERT_FALSE(contract_->is_active(id.pk));
+
+  ASSERT_TRUE(register_now(chain_, *contract_, kAlice, id.pk, 40, stake).success);
+  EXPECT_TRUE(contract_->is_active(id.pk));
+  const Receipt second = slash_now(chain_, *contract_, kBob, id.sk, 60);
+  EXPECT_TRUE(second.success) << second.error;
+  EXPECT_FALSE(contract_->is_active(id.pk));
+  EXPECT_EQ(contract_->member_count(), 0u);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].index, 0u);
+  EXPECT_EQ(events[1].pk, id.pk);
+  EXPECT_EQ(events[1].index, 1u);  // the second registration's slot
+  EXPECT_EQ(chain_.ledger().burnt_total(), stake);
+}
+
 TEST_P(MembershipContractTest, GroupFullRejects) {
   MembershipConfig tiny = small_membership();
   tiny.tree_depth = 1;  // capacity 2

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "hash/sha256.h"
+#include "hash/sha256_kernels.h"
 #include "util/bytes.h"
+#include "util/rng.h"
 
 namespace wakurln::hash {
 namespace {
@@ -131,6 +138,113 @@ TEST(HmacSha256Test, KeySensitivity) {
   const Bytes k2 = {1, 2, 4};
   const Bytes data = {9, 9, 9};
   EXPECT_NE(hmac_sha256(k1, data), hmac_sha256(k2, data));
+}
+
+// -- the two compression paths ----------------------------------------------
+// Sha256 runs whichever compression detail::selected_compress() chose, so
+// the known answers above cover the selected path. The tests below call
+// each path directly: the portable compression is the oracle the SHA-NI
+// kernel must match bit for bit.
+
+using State = std::array<std::uint32_t, 8>;
+using Block = std::array<std::uint8_t, 64>;
+
+constexpr State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+State compress_with(detail::CompressFn fn, State state, const Block& block) {
+  fn(state.data(), block.data());
+  return state;
+}
+
+constexpr const char* kNoShaNi =
+    "this CPU lacks the x86 SHA extensions (CPUID SHA, SSE4.1 and SSSE3); "
+    "only the portable compression runs here";
+
+TEST(Sha256KernelTest, SelectionFollowsCpuCheck) {
+  const detail::CompressFn expected =
+      detail::cpu_has_sha_ni() ? detail::compress_sha_ni : detail::compress_portable;
+  EXPECT_EQ(detail::selected_compress(), expected);
+}
+
+TEST(Sha256KernelTest, BothPathsReproduceNistAbcBlock) {
+  // "abc" padded to one block: 0x80 after the message, bit length 24.
+  Block block{};
+  block[0] = 'a';
+  block[1] = 'b';
+  block[2] = 'c';
+  block[3] = 0x80;
+  block[63] = 24;
+  const State abc = {0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+                     0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad};
+  EXPECT_EQ(compress_with(detail::compress_portable, kInitialState, block), abc);
+  if (!detail::cpu_has_sha_ni()) GTEST_SKIP() << kNoShaNi;
+  EXPECT_EQ(compress_with(detail::compress_sha_ni, kInitialState, block), abc);
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableOnEdgeInputs) {
+  if (!detail::cpu_has_sha_ni()) GTEST_SKIP() << kNoShaNi;
+  Block zeros{};
+  Block ones{};
+  ones.fill(0xff);
+  State all_set{};
+  all_set.fill(0xffffffff);
+  for (const State& state : {kInitialState, State{}, all_set}) {
+    for (const Block& block : {zeros, ones}) {
+      EXPECT_EQ(compress_with(detail::compress_sha_ni, state, block),
+                compress_with(detail::compress_portable, state, block))
+          << "state[0] " << state[0] << " block byte " << int{block[0]};
+    }
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableOnRandomStatesAndBlocks) {
+  if (!detail::cpu_has_sha_ni()) GTEST_SKIP() << kNoShaNi;
+  util::Rng rng(0x5a256);
+  for (int i = 0; i < 10'000; ++i) {
+    State state{};
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next_u64());
+    Block block{};
+    rng.fill(block);
+    ASSERT_EQ(compress_with(detail::compress_sha_ni, state, block),
+              compress_with(detail::compress_portable, state, block))
+        << "pair " << i;
+  }
+}
+
+TEST(Sha256KernelTest, FourThreadsHashAtOnce) {
+  // Shard lanes hash concurrently, and in a fresh process the first of
+  // them makes the once-per-process kernel selection. All four threads
+  // start together (so the selection races under TSan) and hash the
+  // 'a' x n known answers plus an HMAC vector many times over.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  const Bytes hmac_key(20, 0x0b);
+  const Bytes hmac_data = util::to_bytes("Hi There");
+  std::latch start(kThreads);
+  std::atomic<int> mismatches{0};
+  std::atomic<int> checked{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        for (const auto& [n, hex] : kRepeatedA) {
+          if (to_hex(Sha256::digest(std::string(n, 'a'))) != hex) ++mismatches;
+          ++checked;
+        }
+        if (to_hex(hmac_sha256(hmac_key, hmac_data)) !=
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7") {
+          ++mismatches;
+        }
+        ++checked;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(checked.load(),
+            kThreads * kRounds * static_cast<int>(std::size(kRepeatedA) + 1));
 }
 
 }  // namespace

@@ -218,6 +218,53 @@ TEST(WakuRlnRelayTest, SlashedMemberCannotPublish) {
             WakuRlnRelay::PublishOutcome::kNotRegistered);
 }
 
+TEST(WakuRlnRelayTest, RepeatedDoubleSignalsSubmitOneSlashPerOffender) {
+  // Four messages in one slot: the spammer's neighbours see every one of
+  // them directly, so each recovers the same sk up to three times. The
+  // guard keyed by that sk lets each relay submit one slash tx.
+  TestNet tn(8);
+  tn.subscribe_all("t");
+  tn.register_all();
+  tn.run_seconds(5);
+  WakuRlnRelay& spammer = *tn.nodes[0];
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(spammer.publish_unchecked("t", util::to_bytes("spam-" + std::to_string(i))),
+              WakuRlnRelay::PublishOutcome::kPublished);
+  }
+  tn.run_seconds(30);
+
+  std::uint64_t max_detections = 0;
+  for (auto& n : tn.nodes) {
+    max_detections = std::max(max_detections, n->stats().double_signals);
+    EXPECT_LE(n->stats().slashes_submitted, 1u);
+  }
+  EXPECT_GE(max_detections, 2u);
+  EXPECT_FALSE(tn.contract->is_active(spammer.identity().pk));
+  EXPECT_EQ(tn.chain.ledger().burnt_total(), tn.contract->config().stake_wei / 2);
+}
+
+TEST(WakuRlnRelayTest, TwoSpammersAreEachSlashedOnce) {
+  TestNet tn(8);
+  tn.subscribe_all("t");
+  tn.register_all();
+  tn.run_seconds(5);
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (int i = 0; i < 3; ++i) {
+      tn.nodes[s]->publish_unchecked(
+          "t", util::to_bytes("spam-" + std::to_string(s) + "-" + std::to_string(i)));
+    }
+  }
+  tn.run_seconds(30);
+
+  for (auto& n : tn.nodes) EXPECT_LE(n->stats().slashes_submitted, 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_FALSE(tn.contract->is_active(tn.nodes[s]->identity().pk)) << "spammer " << s;
+  }
+  EXPECT_EQ(tn.contract->member_count(), tn.nodes.size() - 2);
+  // Two slashes, half of each stake burnt: one full stake in total.
+  EXPECT_EQ(tn.chain.ledger().burnt_total(), tn.contract->config().stake_wei);
+}
+
 TEST(WakuRlnRelayTest, StaleEpochRejected) {
   TestNet tn(4);
   tn.subscribe_all("t");
