@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdio>
+#include <vector>
 
 #include "harness.h"
 #include "hash/poseidon.h"
@@ -13,6 +14,7 @@
 #include "hash/sha256_kernels.h"
 #include "merkle/merkle_tree.h"
 #include "shamir/shamir.h"
+#include "support/poseidon_reference.h"
 #include "util/rng.h"
 
 using namespace wakurln;
@@ -21,55 +23,54 @@ int main() {
   bench::Runner runner("crypto_primitives");
   std::printf("E0: cryptographic substrate microbenchmarks\n\n");
 
-  double field_mul_scalar_ns = 0.0;
   {
     util::Rng rng(1);
     field::Fr a = field::Fr::random(rng);
     const field::Fr b = field::Fr::random(rng);
-    const auto& s = runner.run(
+    runner.run(
         "field_mul",
         [&] {
           for (int i = 0; i < 10000; ++i) a = a * b;
           bench::do_not_optimize(a);
         },
         /*reps=*/20, /*warmup=*/3, /*batch=*/10000);
-    field_mul_scalar_ns = s.median_ns;
   }
 
   {
-    // Same element count through the 4-lane interleaved kernel. Each lane
-    // runs the scalar CIOS schedule bit-exactly; the win is pure ILP.
-    util::Rng rng(1);
-    std::vector<field::Fr> a(10000), b(10000);
-    for (auto& x : a) x = field::Fr::random(rng);
-    for (auto& x : b) x = field::Fr::random(rng);
-    const auto& s = runner.run(
-        "field_mul_batch",
-        [&] {
-          field::Fr::mul_batch(a, b, a);
-          bench::do_not_optimize(a.data());
-        },
-        /*reps=*/20, /*warmup=*/3, /*batch=*/10000);
-    runner.metric("field_mul_batch_speedup", field_mul_scalar_ns / s.median_ns, "x");
-  }
-
-  {
+    // Fr::inverse (binary extended Euclid) against the Fermat ladder
+    // a^(r-2), the tests' oracle. The speedup metric is CI-gated.
+    const std::array<std::uint64_t, 4> r_minus_2 = {
+        0x43e1f593efffffffULL, 0x2833e84879b97091ULL,
+        0xb85045b68181585dULL, 0x30644e72e131a029ULL};
     util::Rng rng(2);
-    field::Fr a = field::Fr::random(rng);
-    runner.run(
+    const field::Fr start = field::Fr::random(rng);
+    field::Fr a = start;
+    const auto& s = runner.run(
         "field_inverse",
         [&] {
           for (int i = 0; i < 100; ++i) a = a.inverse();
           bench::do_not_optimize(a);
         },
         /*reps=*/20, /*warmup=*/3, /*batch=*/100);
+    a = start;
+    const auto& f = runner.run(
+        "field_inverse_fermat",
+        [&] {
+          for (int i = 0; i < 100; ++i) a = a.pow(r_minus_2);
+          bench::do_not_optimize(a);
+        },
+        /*reps=*/20, /*warmup=*/3, /*batch=*/100);
+    runner.metric("field_inverse_speedup", f.median_ns / s.median_ns, "x");
   }
 
-  double poseidon_scalar_ns = 0.0;
   {
+    // The production permutation (optimised sparse schedule) against the
+    // dense textbook schedule, the tests' oracle. The speedup metric is
+    // CI-gated.
     util::Rng rng(3);
-    field::Fr a = field::Fr::random(rng);
+    const field::Fr start = field::Fr::random(rng);
     const field::Fr b = field::Fr::random(rng);
+    field::Fr a = start;
     const auto& s = runner.run(
         "poseidon2",
         [&] {
@@ -77,25 +78,15 @@ int main() {
           bench::do_not_optimize(a);
         },
         /*reps=*/20, /*warmup=*/3, /*batch=*/100);
-    poseidon_scalar_ns = s.median_ns;
-  }
-
-  {
-    // Independent hashes through the 8-state batch permutation (wide
-    // S-box lanes + fused MDS rows) — the Merkle wavefront's kernel.
-    // The speedup metric is the CI-gated headline number.
-    util::Rng rng(3);
-    std::vector<field::Fr> a(100), b(100), out(100);
-    for (auto& x : a) x = field::Fr::random(rng);
-    for (auto& x : b) x = field::Fr::random(rng);
-    const auto& s = runner.run(
-        "poseidon2_batch",
+    a = start;
+    const auto& d = runner.run(
+        "poseidon2_dense",
         [&] {
-          hash::poseidon_hash2_batch(a, b, out);
-          bench::do_not_optimize(out.data());
+          for (int i = 0; i < 100; ++i) a = hash::reference::poseidon_hash2(a, b);
+          bench::do_not_optimize(a);
         },
         /*reps=*/20, /*warmup=*/3, /*batch=*/100);
-    runner.metric("poseidon_batch_speedup", poseidon_scalar_ns / s.median_ns, "x");
+    runner.metric("poseidon_sparse_speedup", d.median_ns / s.median_ns, "x");
   }
 
   {
@@ -148,13 +139,12 @@ int main() {
   }
 
   {
-    // The registration-storm shape: 16 appends land as one wavefront
-    // batch instead of 16 root-path walks. Compare against the scalar
-    // merkle_insert_d20 series above.
+    // The registration-storm shape: 16 leaves through one append_batch
+    // beside 16 append() calls.
     const std::size_t depth = 20;
     util::Rng rng(5);
     merkle::MerkleTree scalar_tree(depth);
-    const auto& scalar_s = runner.run(
+    runner.run(
         "merkle_insert_scalar16_d20",
         [&] {
           if (scalar_tree.size() + 16 > scalar_tree.capacity()) {
@@ -166,7 +156,7 @@ int main() {
     util::Rng brng(5);
     merkle::MerkleTree batch_tree(depth);
     std::vector<field::Fr> leaves(16);
-    const auto& batch_s = runner.run(
+    runner.run(
         "merkle_insert_batch16_d20",
         [&] {
           if (batch_tree.size() + 16 > batch_tree.capacity()) {
@@ -176,7 +166,6 @@ int main() {
           batch_tree.append_batch(leaves);
         },
         /*reps=*/20, /*warmup=*/3, /*batch=*/16);
-    runner.metric("merkle_batch_speedup", scalar_s.median_ns / batch_s.median_ns, "x");
   }
 
   for (const std::size_t depth : {10u, 20u, 32u}) {

@@ -58,26 +58,22 @@ constexpr void double_mod(Limbs& a) {
   if (carry != 0 || geq(a, kModulus)) sub_in_place(a, kModulus);
 }
 
-// 2^512 mod r, for Montgomery conversion: to_mont(a) = mont_mul(a, R2).
-constexpr Limbs compute_r2() {
+// 2^e mod r by repeated doubling, for constant generation.
+constexpr Limbs pow2_mod(int e) {
   Limbs x = {1, 0, 0, 0};
-  for (int i = 0; i < 512; ++i) double_mod(x);
+  for (int i = 0; i < e; ++i) double_mod(x);
   return x;
 }
-constexpr Limbs kR2 = compute_r2();
-
-// 2^256 mod r == Montgomery form of 1.
-constexpr Limbs compute_r1() {
-  Limbs x = {1, 0, 0, 0};
-  for (int i = 0; i < 256; ++i) double_mod(x);
-  return x;
-}
-constexpr Limbs kOneMont = compute_r1();
+// R = 2^256 mod r == Montgomery form of 1.
+constexpr Limbs kOneMont = pow2_mod(256);
+// R^2, for Montgomery conversion: to_mont(a) = mont_mul(a, R2).
+constexpr Limbs kR2 = pow2_mod(512);
+// R^3, for inversion: the integer inverse of the limbs x = aR is
+// a^-1 R^-1, and mont_mul(a^-1 R^-1, R3) = a^-1 R.
+constexpr Limbs kR3 = pow2_mod(768);
 
 // One outer CIOS iteration: t += a * bi, then one Montgomery reduction
-// step (add m * r with m = t[0] * n0inv and shift one limb). Factored
-// out so the scalar and the interleaved multi-lane kernels execute the
-// exact same instruction schedule per lane.
+// step (add m * r with m = t[0] * n0inv and shift one limb).
 inline void mont_iter(u64 t[6], const Limbs& a, u64 bi) {
   // t += a * bi
   u128 carry = 0;
@@ -119,32 +115,6 @@ void mont_mul(const Limbs& a, const Limbs& b, Limbs& out) {
   mont_finish(t, out);
 }
 
-// Four independent CIOS multiplications with their outer iterations
-// interleaved. Each lane's carry chain is serial, but the lanes are
-// independent, so the core can overlap the 64x64 multiplies across
-// lanes (ILP). Per lane this is operation-for-operation mont_mul, so
-// every output is bit-identical to the scalar product. Outputs may
-// alias their own lane's inputs (they are written only at the end).
-void mont_mul_x4(const Limbs& a0, const Limbs& b0, const Limbs& a1,
-                 const Limbs& b1, const Limbs& a2, const Limbs& b2,
-                 const Limbs& a3, const Limbs& b3, Limbs& o0, Limbs& o1,
-                 Limbs& o2, Limbs& o3) {
-  u64 t0[6] = {0, 0, 0, 0, 0, 0};
-  u64 t1[6] = {0, 0, 0, 0, 0, 0};
-  u64 t2[6] = {0, 0, 0, 0, 0, 0};
-  u64 t3[6] = {0, 0, 0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i) {
-    mont_iter(t0, a0, b0[i]);
-    mont_iter(t1, a1, b1[i]);
-    mont_iter(t2, a2, b2[i]);
-    mont_iter(t3, a3, b3[i]);
-  }
-  mont_finish(t0, o0);
-  mont_finish(t1, o1);
-  mont_finish(t2, o2);
-  mont_finish(t3, o3);
-}
-
 void add_mod(const Limbs& a, const Limbs& b, Limbs& out) {
   u64 carry = 0;
   for (int i = 0; i < 4; ++i) {
@@ -170,6 +140,26 @@ void sub_mod(const Limbs& a, const Limbs& b, Limbs& out) {
       carry = static_cast<u64>(s >> 64);
     }
   }
+}
+
+// a >>= 1.
+void shr1(Limbs& a) {
+  for (int i = 0; i < 3; ++i) a[i] = (a[i] >> 1) | (a[i + 1] << 63);
+  a[3] >>= 1;
+}
+
+// a = a / 2 mod r for a < r: an odd a is first made even by adding r,
+// which cannot carry out because r < 2^254.
+void half_mod(Limbs& a) {
+  if (a[0] & 1) {
+    u64 carry = 0;
+    for (int i = 0; i < 4; ++i) {
+      const u128 s = static_cast<u128>(a[i]) + kModulus[i] + carry;
+      a[i] = static_cast<u64>(s);
+      carry = static_cast<u64>(s >> 64);
+    }
+  }
+  shr1(a);
 }
 
 // Reduce an arbitrary 256-bit value (< 2^256) to canonical range [0, r).
@@ -298,29 +288,34 @@ Fr Fr::inverse() const {
   if (is_zero()) {
     throw std::domain_error("Fr::inverse: zero has no inverse");
   }
-  // Fermat: a^(r-2).
-  Limbs e = kModulus;
-  e[0] -= 2;  // r is odd and > 2, no borrow
-  return pow(e);
-}
-
-void Fr::mul_batch(std::span<const Fr> a, std::span<const Fr> b,
-                   std::span<Fr> out) {
-  WAKURLN_CHECK(a.size() == b.size() && a.size() == out.size());
-  std::size_t i = 0;
-  for (; i + 4 <= a.size(); i += 4) {
-    mont_mul_x4(a[i].limbs_, b[i].limbs_, a[i + 1].limbs_, b[i + 1].limbs_,
-                a[i + 2].limbs_, b[i + 2].limbs_, a[i + 3].limbs_,
-                b[i + 3].limbs_, out[i].limbs_, out[i + 1].limbs_,
-                out[i + 2].limbs_, out[i + 3].limbs_);
+  // Binary extended Euclid (Hankerson-Menezes-Vanstone, Alg. 2.22) on
+  // the limbs x = aR as an integer: u = x1 * x and v = x2 * x (mod r)
+  // hold throughout, and gcd(u, v) = 1, so one of u, v reaches 1.
+  const Limbs one = {1, 0, 0, 0};
+  Limbs u = limbs_;
+  Limbs v = kModulus;
+  Limbs x1 = one;
+  Limbs x2 = {0, 0, 0, 0};
+  while (u != one && v != one) {
+    while ((u[0] & 1) == 0) {
+      shr1(u);
+      half_mod(x1);
+    }
+    while ((v[0] & 1) == 0) {
+      shr1(v);
+      half_mod(x2);
+    }
+    if (geq(u, v)) {
+      sub_in_place(u, v);
+      sub_mod(x1, x2, x1);
+    } else {
+      sub_in_place(v, u);
+      sub_mod(x2, x1, x2);
+    }
   }
-  for (; i < a.size(); ++i) {
-    mont_mul(a[i].limbs_, b[i].limbs_, out[i].limbs_);
-  }
-}
-
-void Fr::square_batch(std::span<const Fr> a, std::span<Fr> out) {
-  mul_batch(a, a, out);
+  Limbs out;
+  mont_mul(u == one ? x1 : x2, kR3, out);
+  return FrDetail::make(out);
 }
 
 namespace {
@@ -381,10 +376,10 @@ inline void acc_reduce_finish(const u64 t[9], Limbs& out) {
 void Fr::mat3_mul_fused(const std::array<std::array<Fr, 3>, 3>& m,
                         const std::array<Fr, 3>& v, std::array<Fr, 3>& out) {
   // Three rows, three independent accumulate-then-reduce chains,
-  // interleaved so the core can overlap the 64x64 multiplies across rows
-  // (the mont_mul_x4 trick). Per row the result is acc * R^{-1} mod r —
-  // exactly sum(mont_mul(m_ij, v_j)) mod r — stored canonically, so each
-  // output is bit-identical to the scalar mul/add chain.
+  // interleaved so the core can overlap the 64x64 multiplies across rows.
+  // Per row the result is acc * R^{-1} mod r — exactly
+  // sum(mont_mul(m_ij, v_j)) mod r — stored canonically, so each output
+  // is bit-identical to the scalar mul/add chain.
   u64 r0[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
   u64 r1[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
   u64 r2[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};

@@ -7,7 +7,7 @@
 // This is the field used by the RLN construction of the paper (Poseidon
 // hashing, Shamir shares, Merkle tree nodes, zkSNARK public inputs).
 // Elements are stored in Montgomery form (R = 2^256) with CIOS
-// multiplication; all operations are branch-light and allocation-free.
+// multiplication; all operations are allocation-free.
 
 #include <array>
 #include <cstdint>
@@ -62,19 +62,11 @@ class Fr {
   Fr pow(const std::array<std::uint64_t, 4>& exp_limbs) const;
   Fr pow(std::uint64_t exp) const;
 
-  /// Multiplicative inverse via Fermat (a^(r-2)). Requires !is_zero().
+  /// Multiplicative inverse by binary extended Euclid on the Montgomery
+  /// limbs, then one Montgomery product by R^3 mod r. Variable-time.
+  /// Equal to pow(r - 2), which the tests keep as the oracle. Throws
+  /// std::domain_error on zero.
   Fr inverse() const;
-
-  /// Element-wise products: out[i] = a[i] * b[i]. Runs four independent
-  /// CIOS kernels interleaved for instruction-level parallelism; each
-  /// lane executes exactly the scalar operator* schedule, so every
-  /// output is bit-identical to a[i] * b[i]. out[i] may alias a[i] or
-  /// b[i] (but distinct outputs must not overlap distinct inputs).
-  static void mul_batch(std::span<const Fr> a, std::span<const Fr> b,
-                        std::span<Fr> out);
-
-  /// Element-wise squares: out[i] = a[i].square(), batched as mul_batch.
-  static void square_batch(std::span<const Fr> a, std::span<Fr> out);
 
   /// Fused 3x3 matrix-vector product: out[i] = m[i][0]*v[0] + m[i][1]*v[1]
   /// + m[i][2]*v[2], each row accumulated as full 512-bit products with a
@@ -82,7 +74,7 @@ class Fr {
   /// row chains interleaved for instruction-level parallelism. Every row
   /// is bit-identical to the scalar mul/add chain because both are equal
   /// mod r and stored canonically. `out` must not alias `v`. This is the
-  /// MDS-mix kernel of the batched Poseidon permutation.
+  /// kernel of the Poseidon permutation's dense mixes.
   static void mat3_mul_fused(const std::array<std::array<Fr, 3>, 3>& m,
                              const std::array<Fr, 3>& v, std::array<Fr, 3>& out);
 

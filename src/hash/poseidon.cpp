@@ -1,6 +1,5 @@
 #include "hash/poseidon.h"
 
-#include <algorithm>
 #include <string>
 
 #include "hash/sha256.h"
@@ -12,6 +11,11 @@ namespace wakurln::hash {
 namespace {
 
 using field::Fr;
+using State = std::array<Fr, PoseidonParams::kWidth>;
+using Mat3 = std::array<std::array<Fr, PoseidonParams::kWidth>, PoseidonParams::kWidth>;
+
+constexpr int kHalfFull = PoseidonParams::kFullRounds / 2;
+constexpr int kPartial = PoseidonParams::kPartialRounds;
 
 // Derives a field element from a domain-separated SHA-256 expansion.
 Fr derive_constant(const std::string& label) {
@@ -51,16 +55,76 @@ Fr sbox(const Fr& x) {
   return x4 * x;
 }
 
-void mix(const PoseidonParams& p, std::array<Fr, PoseidonParams::kWidth>& state) {
-  std::array<Fr, PoseidonParams::kWidth> out;
-  for (int i = 0; i < PoseidonParams::kWidth; ++i) {
-    Fr acc = Fr::zero();
-    for (int j = 0; j < PoseidonParams::kWidth; ++j) {
-      acc += p.mds[i][j] * state[j];
-    }
-    out[i] = acc;
+// S = [[s00, w1, w2], [v1, 1, 0], [v2, 0, 1]]: one partial round's mix
+// after the dense MDS products are factored (5 products instead of 9).
+struct SparseMix {
+  Fr s00, w1, w2, v1, v2;
+};
+
+// The optimised schedule (Grassi et al., "Poseidon", USENIX Security
+// 2021, Appendix B), derived once from PoseidonParams. Field arithmetic
+// is exact and elements are stored canonically, so the permutation it
+// drives is bit-equal to the dense schedule.
+struct Schedule {
+  Mat3 mds;
+  // Per full round, the constants added before its S-boxes. The first
+  // round of the second half also carries the partial rounds' folded
+  // constants.
+  std::array<State, PoseidonParams::kFullRounds> full_constants;
+  // Per partial round, the one constant added to element 0.
+  std::array<Fr, kPartial> partial_constants;
+  // Partial round 0 mixes through what is left of the factored product.
+  Mat3 first_partial_mix;
+  // Partial rounds 1 .. kPartial-1.
+  std::array<SparseMix, kPartial - 1> sparse_mixes;
+};
+
+Schedule build_schedule(const PoseidonParams& p) {
+  Schedule s;
+  s.mds = p.mds;
+  for (int r = 0; r < kHalfFull; ++r) s.full_constants[r] = p.round_constants[r];
+
+  // A partial round's S-box touches element 0 only, so the constants it
+  // adds to elements 1 and 2 pass through it and can be carried forward:
+  // acc is what the dense schedule's state holds beyond this one's.
+  State acc = {Fr::zero(), Fr::zero(), Fr::zero()};
+  for (int r = 0; r < kPartial; ++r) {
+    const State& c = p.round_constants[kHalfFull + r];
+    s.partial_constants[r] = c[0] + acc[0];
+    const State carried = {Fr::zero(), c[1] + acc[1], c[2] + acc[2]};
+    Fr::mat3_mul_fused(p.mds, carried, acc);
   }
-  state = out;
+  for (int r = 0; r < kHalfFull; ++r) {
+    s.full_constants[kHalfFull + r] = p.round_constants[kHalfFull + kPartial + r];
+  }
+  for (int j = 0; j < PoseidonParams::kWidth; ++j) s.full_constants[kHalfFull][j] += acc[j];
+
+  // Factor the partial rounds' mixes from the last one back. Split
+  // D = S * diag(1, Dh), with Dh the lower-right 2x2 block of D and
+  // S = [[d00, d_row * Dh^-1], [d_col, I]]. diag(1, Dh) leaves element 0
+  // alone, so it commutes with the round's constant and S-box and folds
+  // into the previous round's mix: D <- diag(1, Dh) * M.
+  Mat3 d = p.mds;
+  for (int r = kPartial - 1; r >= 1; --r) {
+    const Fr det = d[1][1] * d[2][2] - d[1][2] * d[2][1];
+    // Dh is a product of M's lower-right blocks, and every square block
+    // of a Cauchy matrix is invertible.
+    WAKURLN_CHECK(!det.is_zero());
+    const Fr inv = det.inverse();
+    s.sparse_mixes[r - 1] = {d[0][0], (d[0][1] * d[2][2] - d[0][2] * d[2][1]) * inv,
+                             (d[0][2] * d[1][1] - d[0][1] * d[1][2]) * inv, d[1][0],
+                             d[2][0]};
+    Mat3 next;
+    next[0] = p.mds[0];
+    for (int i = 1; i < PoseidonParams::kWidth; ++i) {
+      for (int j = 0; j < PoseidonParams::kWidth; ++j) {
+        next[i][j] = d[i][1] * p.mds[1][j] + d[i][2] * p.mds[2][j];
+      }
+    }
+    d = next;
+  }
+  s.first_partial_mix = d;
+  return s;
 }
 
 }  // namespace
@@ -70,30 +134,27 @@ const PoseidonParams& PoseidonParams::instance() {
   return params;
 }
 
-void poseidon_permute(std::array<Fr, PoseidonParams::kWidth>& state) {
-  const PoseidonParams& p = PoseidonParams::instance();
-  const int half_full = PoseidonParams::kFullRounds / 2;
-  int round = 0;
+void poseidon_permute(State& state) {
+  static const Schedule s = build_schedule(PoseidonParams::instance());
+  State t;
+  const auto full_round = [&](const State& rc) {
+    for (int j = 0; j < PoseidonParams::kWidth; ++j) t[j] = sbox(state[j] + rc[j]);
+    Fr::mat3_mul_fused(s.mds, t, state);
+  };
 
-  for (int r = 0; r < half_full; ++r, ++round) {
-    for (int j = 0; j < PoseidonParams::kWidth; ++j) {
-      state[j] = sbox(state[j] + p.round_constants[round][j]);
-    }
-    mix(p, state);
+  for (int r = 0; r < kHalfFull; ++r) full_round(s.full_constants[r]);
+
+  t = {sbox(state[0] + s.partial_constants[0]), state[1], state[2]};
+  Fr::mat3_mul_fused(s.first_partial_mix, t, state);
+  for (int r = 1; r < kPartial; ++r) {
+    const SparseMix& m = s.sparse_mixes[r - 1];
+    const Fr x0 = sbox(state[0] + s.partial_constants[r]);
+    state[0] = m.s00 * x0 + m.w1 * state[1] + m.w2 * state[2];
+    state[1] += m.v1 * x0;
+    state[2] += m.v2 * x0;
   }
-  for (int r = 0; r < PoseidonParams::kPartialRounds; ++r, ++round) {
-    for (int j = 0; j < PoseidonParams::kWidth; ++j) {
-      state[j] += p.round_constants[round][j];
-    }
-    state[0] = sbox(state[0]);
-    mix(p, state);
-  }
-  for (int r = 0; r < half_full; ++r, ++round) {
-    for (int j = 0; j < PoseidonParams::kWidth; ++j) {
-      state[j] = sbox(state[j] + p.round_constants[round][j]);
-    }
-    mix(p, state);
-  }
+
+  for (int r = kHalfFull; r < PoseidonParams::kFullRounds; ++r) full_round(s.full_constants[r]);
 }
 
 field::Fr poseidon_hash1(const Fr& a) {
@@ -107,117 +168,6 @@ field::Fr poseidon_hash2(const Fr& a, const Fr& b) {
   std::array<Fr, PoseidonParams::kWidth> state = {Fr::from_u64(2), a, b};
   poseidon_permute(state);
   return state[0];
-}
-
-namespace {
-
-// States per batch block: bounds the stack scratch and keeps the
-// S-box lanes wide enough (24 elements on full rounds) to fill the
-// 4-lane interleaved CIOS kernel.
-constexpr int kBatchBlock = 8;
-
-// MDS mix as one fused 3x3 kernel: each row is sum(mds[i][j] * state[j])
-// accumulated raw with one Montgomery reduction, the three rows
-// interleaved in the field layer for ILP. Equal mod r to the scalar
-// mix()'s chain of mont_mul + add_mod, and both store canonically, so
-// the limbs are bit-identical.
-void mix_fused(const PoseidonParams& p,
-               std::array<Fr, PoseidonParams::kWidth>& state) {
-  static_assert(PoseidonParams::kWidth == 3);
-  std::array<Fr, PoseidonParams::kWidth> out;
-  Fr::mat3_mul_fused(p.mds, state, out);
-  state = out;
-}
-
-}  // namespace
-
-void poseidon_permute_batch(
-    std::span<std::array<Fr, PoseidonParams::kWidth>> states) {
-  constexpr int kW = PoseidonParams::kWidth;
-  const PoseidonParams& p = PoseidonParams::instance();
-  const int half_full = PoseidonParams::kFullRounds / 2;
-
-  for (std::size_t base = 0; base < states.size(); base += kBatchBlock) {
-    const int nb = static_cast<int>(
-        std::min<std::size_t>(kBatchBlock, states.size() - base));
-    const auto blk = states.subspan(base, static_cast<std::size_t>(nb));
-
-    // Scratch lanes: x holds the S-box inputs, y the running powers.
-    std::array<Fr, kW * kBatchBlock> x;
-    std::array<Fr, kW * kBatchBlock> y;
-
-    // x^5 over the first n scratch lanes, bit-identical to sbox():
-    // two squarings then a multiply by the saved base.
-    const auto sbox_lanes = [&](std::size_t n) {
-      const std::span<const Fr> xs(x.data(), n);
-      const std::span<Fr> ys(y.data(), n);
-      Fr::square_batch(xs, ys);
-      Fr::square_batch(std::span<const Fr>(y.data(), n), ys);
-      Fr::mul_batch(std::span<const Fr>(y.data(), n), xs, ys);
-    };
-
-    const auto full_round = [&](int round) {
-      for (int b = 0; b < nb; ++b) {
-        for (int j = 0; j < kW; ++j) {
-          x[static_cast<std::size_t>(kW * b + j)] =
-              blk[static_cast<std::size_t>(b)][static_cast<std::size_t>(j)] +
-              p.round_constants[static_cast<std::size_t>(round)]
-                               [static_cast<std::size_t>(j)];
-        }
-      }
-      sbox_lanes(static_cast<std::size_t>(kW * nb));
-      for (int b = 0; b < nb; ++b) {
-        for (int j = 0; j < kW; ++j) {
-          blk[static_cast<std::size_t>(b)][static_cast<std::size_t>(j)] =
-              y[static_cast<std::size_t>(kW * b + j)];
-        }
-        mix_fused(p, blk[static_cast<std::size_t>(b)]);
-      }
-    };
-
-    const auto partial_round = [&](int round) {
-      for (int b = 0; b < nb; ++b) {
-        auto& s = blk[static_cast<std::size_t>(b)];
-        for (int j = 0; j < kW; ++j) {
-          s[static_cast<std::size_t>(j)] +=
-              p.round_constants[static_cast<std::size_t>(round)]
-                               [static_cast<std::size_t>(j)];
-        }
-        x[static_cast<std::size_t>(b)] = s[0];
-      }
-      sbox_lanes(static_cast<std::size_t>(nb));
-      for (int b = 0; b < nb; ++b) {
-        auto& s = blk[static_cast<std::size_t>(b)];
-        s[0] = y[static_cast<std::size_t>(b)];
-        mix_fused(p, s);
-      }
-    };
-
-    int round = 0;
-    for (int r = 0; r < half_full; ++r, ++round) full_round(round);
-    for (int r = 0; r < PoseidonParams::kPartialRounds; ++r, ++round) {
-      partial_round(round);
-    }
-    for (int r = 0; r < half_full; ++r, ++round) full_round(round);
-  }
-}
-
-void poseidon_hash2_batch(std::span<const Fr> a, std::span<const Fr> b,
-                          std::span<Fr> out) {
-  WAKURLN_CHECK(a.size() == b.size() && a.size() == out.size());
-  static const Fr kTag2 = Fr::from_u64(2);
-  std::array<std::array<Fr, PoseidonParams::kWidth>, kBatchBlock> states;
-  for (std::size_t base = 0; base < a.size(); base += kBatchBlock) {
-    const std::size_t nb =
-        std::min<std::size_t>(kBatchBlock, a.size() - base);
-    for (std::size_t i = 0; i < nb; ++i) {
-      states[i] = {kTag2, a[base + i], b[base + i]};
-    }
-    poseidon_permute_batch(std::span(states.data(), nb));
-    for (std::size_t i = 0; i < nb; ++i) {
-      out[base + i] = states[i][0];
-    }
-  }
 }
 
 }  // namespace wakurln::hash

@@ -11,10 +11,13 @@
 // matrix is a Cauchy matrix, instead of the circomlib reference constants.
 // The structure, cost and security rationale are those of Poseidon; exact
 // circom compatibility is not needed by any experiment.
+//
+// There is one permutation, poseidon_permute, on the optimised
+// (sparse partial-round) schedule; the dense textbook schedule is the
+// test oracle in tests/support/poseidon_reference.h.
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "field/fr.h"
@@ -38,6 +41,17 @@ struct PoseidonParams {
 };
 
 /// Applies the Poseidon permutation to a width-3 state in place.
+///
+/// Runs the optimised schedule of the Poseidon paper (Grassi et al.,
+/// USENIX Security 2021, Appendix B), derived once per process from
+/// PoseidonParams::instance(): the partial rounds' constants on elements
+/// 1 and 2 are carried forward (one constant per partial round, the
+/// carry added to the second half's first full round), and the partial
+/// rounds' MDS products are factored into sparse matrices (5 products
+/// per round instead of 9; partial round 0 keeps the dense remainder).
+/// Full rounds mix through Fr::mat3_mul_fused. The result is bit-equal
+/// to the dense textbook schedule, which tests/support/poseidon_reference.h
+/// keeps as the oracle.
 void poseidon_permute(std::array<field::Fr, PoseidonParams::kWidth>& state);
 
 /// One-input hash: used for pk = H(sk) and nullifier = H(a1).
@@ -45,20 +59,5 @@ field::Fr poseidon_hash1(const field::Fr& a);
 
 /// Two-input hash: used for a1 = H(sk, epoch) and Merkle node hashing.
 field::Fr poseidon_hash2(const field::Fr& a, const field::Fr& b);
-
-/// Applies the Poseidon permutation to many independent width-3 states.
-/// Runs the identical per-state operation schedule as poseidon_permute
-/// (S-boxes through Fr::mul_batch lanes, MDS rows through
-/// Fr::mat3_mul_fused), so every output state is bit-identical to calling
-/// poseidon_permute on it — poseidon_permute stays the executable
-/// reference spec, pinned by tests/poseidon_test.cpp.
-void poseidon_permute_batch(
-    std::span<std::array<field::Fr, PoseidonParams::kWidth>> states);
-
-/// Batched two-input hash: out[i] = poseidon_hash2(a[i], b[i]),
-/// bit-identical per element. out may alias a or b.
-void poseidon_hash2_batch(std::span<const field::Fr> a,
-                          std::span<const field::Fr> b,
-                          std::span<field::Fr> out);
 
 }  // namespace wakurln::hash

@@ -68,48 +68,13 @@ std::uint64_t MerkleTree::append(const field::Fr& leaf) {
 std::uint64_t MerkleTree::append_batch(std::span<const field::Fr> leaves,
                                        std::span<field::Fr> roots_out) {
   WAKURLN_CHECK(roots_out.empty() || roots_out.size() == leaves.size());
-  const std::uint64_t k = leaves.size();
-  if (k == 0) return next_index_;
-  if (k > capacity() || next_index_ > capacity() - k) {
+  if (leaves.size() > capacity() - next_index_) {
     throw std::length_error("MerkleTree: capacity exhausted");
   }
   const std::uint64_t base = next_index_;
-  next_index_ += k;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    set_node(0, base + i, leaves[static_cast<std::size_t>(i)]);
-  }
-
-  // Wavefront: cur[i] is the value append i writes on its path at the
-  // level below; lower levels are fully flushed to storage before a
-  // level is hashed, so sibling reads see exactly what the i-th scalar
-  // append would have seen:
-  //  - path child odd: the left sibling's in-batch writers all strictly
-  //    precede i, so its final stored value is the as-of-append-i value;
-  //  - path child even: the right sibling's writers all follow i, and
-  //    its pre-batch value is beyond the old top, i.e. the zero subtree.
-  std::vector<field::Fr> cur(leaves.begin(), leaves.end());
-  std::vector<field::Fr> lefts(cur.size());
-  std::vector<field::Fr> rights(cur.size());
-  std::vector<field::Fr> next(cur.size());
-  for (std::size_t level = 1; level <= depth_; ++level) {
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::uint64_t child = (base + i) >> (level - 1);
-      if (child & 1) {
-        lefts[i] = node(level - 1, child - 1);
-        rights[i] = cur[i];
-      } else {
-        lefts[i] = cur[i];
-        rights[i] = zero_at_level(level - 1);
-      }
-    }
-    hash::poseidon_hash2_batch(lefts, rights, next);
-    for (std::size_t i = 0; i < k; ++i) {
-      set_node(level, (base + i) >> level, next[i]);
-    }
-    cur.swap(next);
-  }
-  for (std::size_t i = 0; i < roots_out.size(); ++i) {
-    roots_out[i] = cur[i];
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    append(leaves[i]);
+    if (!roots_out.empty()) roots_out[i] = root();
   }
   return base;
 }

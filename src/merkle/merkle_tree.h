@@ -45,16 +45,12 @@ class MerkleTree {
   /// Appends a leaf; returns its index. Throws std::length_error when full.
   std::uint64_t append(const field::Fr& leaf);
 
-  /// Appends `leaves` contiguously in one amortised wavefront pass:
-  /// level by level, the whole batch's path nodes are hashed through
-  /// poseidon_hash2_batch. Returns the index of the first appended leaf.
-  /// If `roots_out` is non-empty it must hold leaves.size() slots and
-  /// receives the tree root after each individual append — the final
-  /// node storage AND every intermediate root are bit-identical to a
-  /// sequence of scalar append() calls (pinned by tests/merkle_test.cpp),
-  /// which is what lets GroupSync batch registrations without changing
-  /// the acceptable-root-window history. Throws std::length_error when
-  /// the batch does not fit.
+  /// Appends `leaves` contiguously, one append() each, and returns the
+  /// index of the first appended leaf. If `roots_out` is non-empty it
+  /// must hold leaves.size() slots and receives the tree root after each
+  /// individual append: GroupSync needs every intermediate root for the
+  /// acceptable-root window. Throws std::length_error, leaving the tree
+  /// untouched, when the batch does not fit.
   std::uint64_t append_batch(std::span<const field::Fr> leaves,
                              std::span<field::Fr> roots_out = {});
 

@@ -25,8 +25,8 @@ class RlnGroup {
   /// Inserts a member commitment; returns its leaf index.
   std::uint64_t add_member(const field::Fr& pk);
 
-  /// Inserts a run of member commitments through the tree's amortised
-  /// batch append; returns the leaf index of the first. If `roots_out`
+  /// Inserts a run of member commitments through the tree's
+  /// append_batch; returns the leaf index of the first. If `roots_out`
   /// is non-empty it must hold pks.size() slots and receives the tree
   /// root after each individual insertion, bit-identical to calling
   /// add_member in a loop (as is all bookkeeping).

@@ -51,13 +51,12 @@ class GroupSync {
   /// that reads the group, so membership updates land first.
   ///
   /// Registrations arriving within one block are buffered and applied
-  /// through the tree's amortised batch append when the block seals (or
-  /// earlier, the moment a slash needs the up-to-date membership). Every
+  /// through RlnGroup::add_members when the block seals (or earlier, the
+  /// moment a slash needs the up-to-date membership). Every
   /// per-registration root still enters the history in order and stats
   /// count at event time, so the state observable between blocks is
   /// exactly what one add_member/remove_member per event would give
-  /// (tests/waku_test.cpp checks it against such an oracle); only the
-  /// Poseidon work inside a registration-heavy block is amortised.
+  /// (tests/waku_test.cpp checks it against such an oracle).
   GroupSync(eth::Chain& chain, std::size_t tree_depth);
 
   const rln::RlnGroup& group() const { return group_; }

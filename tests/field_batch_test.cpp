@@ -1,11 +1,9 @@
-// Differential suite for the batched field kernels: every batch path in
-// src/field must be *bit-identical* to the scalar reference operation it
-// replaces — not merely equal mod r. Elements are stored canonically, so
-// EXPECT_EQ on Fr (raw limb comparison) is exactly that bit-equality
-// claim. The suite drives seeded-random property sweeps plus the edges
-// that break Montgomery code in practice: 0, 1, r-1, values whose raw
-// Montgomery limbs sit at the reduction boundary, batch sizes 0 / 1 /
-// odd / 4-lane remainders / large, and aliased outputs.
+// Differential suite for the fused field kernel: Fr::mat3_mul_fused must
+// be *bit-identical* to the scalar mul/add chain it replaces — not merely
+// equal mod r. Elements are stored canonically, so EXPECT_EQ on Fr (raw
+// limb comparison) is exactly that bit-equality claim. The suite drives
+// seeded-random sweeps plus the edges that break Montgomery code in
+// practice: 0, 1, r-1, per-limb extremes, and aliased outputs.
 
 #include <gtest/gtest.h>
 
@@ -34,79 +32,6 @@ std::vector<Fr> edge_elements() {
     edges.push_back(-Fr::from_u64(v));
   }
   return edges;
-}
-
-std::vector<Fr> random_elements(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Fr> xs;
-  xs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) xs.push_back(Fr::random(rng));
-  return xs;
-}
-
-// ---------------------------------------------------------------------------
-// mul_batch / square_batch
-
-TEST(FrBatchTest, MulBatchMatchesScalarOnRandomInputs) {
-  // 1000 exercises the 4-wide kernel ~250 times plus no tail; sweep
-  // nearby sizes so every tail remainder (1, 2, 3) is also covered.
-  for (std::size_t n : {1000u, 1001u, 1002u, 1003u}) {
-    const auto a = random_elements(n, 0x11 + n);
-    const auto b = random_elements(n, 0x22 + n);
-    std::vector<Fr> out(n);
-    Fr::mul_batch(a, b, out);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], a[i] * b[i]) << "lane " << i << " of " << n;
-    }
-  }
-}
-
-TEST(FrBatchTest, MulBatchMatchesScalarOnEdgeCross) {
-  // Full cross product of the edge set against itself: zero limbs,
-  // maximal limbs and boundary values in every lane position.
-  const auto edges = edge_elements();
-  std::vector<Fr> a, b;
-  for (const Fr& x : edges) {
-    for (const Fr& y : edges) {
-      a.push_back(x);
-      b.push_back(y);
-    }
-  }
-  std::vector<Fr> out(a.size());
-  Fr::mul_batch(a, b, out);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(out[i], a[i] * b[i]) << "edge pair " << i;
-  }
-}
-
-TEST(FrBatchTest, MulBatchHandlesEmptyAndSingleton) {
-  Fr::mul_batch({}, {}, {});  // no-op, must not touch memory
-  std::vector<Fr> a = {Fr::from_u64(7)}, b = {Fr::from_u64(9)}, out(1);
-  Fr::mul_batch(a, b, out);
-  EXPECT_EQ(out[0], Fr::from_u64(63));
-}
-
-TEST(FrBatchTest, MulBatchSupportsAliasedOutput) {
-  for (std::size_t n : {4u, 7u}) {
-    auto a = random_elements(n, 0x33);
-    const auto b = random_elements(n, 0x44);
-    const auto a_copy = a;
-    Fr::mul_batch(a, b, a);  // out aliases a
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(a[i], a_copy[i] * b[i]) << "aliased lane " << i;
-    }
-  }
-}
-
-TEST(FrBatchTest, SquareBatchMatchesScalarSquare) {
-  auto xs = random_elements(257, 0x55);  // 64 blocks + remainder 1
-  const auto edges = edge_elements();
-  xs.insert(xs.end(), edges.begin(), edges.end());
-  std::vector<Fr> out(xs.size());
-  Fr::square_batch(xs, out);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(out[i], xs[i].square()) << "lane " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

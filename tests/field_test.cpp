@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "field/fr.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -126,6 +128,27 @@ TEST(FrTest, InverseIsMultiplicativeInverse) {
     Fr a = Fr::random(rng);
     if (a.is_zero()) a = Fr::one();
     EXPECT_EQ(a * a.inverse(), Fr::one());
+  }
+}
+
+TEST(FrTest, InverseMatchesFermat) {
+  // The binary-Euclid inverse against the Fermat ladder a^(r-2).
+  const std::array<std::uint64_t, 4> r_minus_2 = {
+      0x43e1f593efffffffULL, 0x2833e84879b97091ULL,
+      0xb85045b68181585dULL, 0x30644e72e131a029ULL};
+  const Fr max64 = Fr::from_u64(0xffffffffffffffffULL);
+  const Fr top64 = Fr::from_u64(0x8000000000000000ULL);
+  std::vector<Fr> xs = {Fr::one(), Fr::from_u64(2), -Fr::one(), -Fr::from_u64(2),
+                        max64,     -max64,          top64,      -top64};
+  Rng rng(115);
+  for (int i = 0; i < 10000; ++i) {
+    const Fr a = Fr::random(rng);
+    if (!a.is_zero()) xs.push_back(a);
+  }
+  for (const Fr& a : xs) {
+    const Fr inv = a.inverse();
+    ASSERT_EQ(inv, a.pow(r_minus_2)) << a.to_hex();
+    ASSERT_EQ(a * inv, Fr::one()) << a.to_hex();
   }
 }
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "hash/poseidon.h"
+#include "merkle/merkle_tree.h"
+#include "support/poseidon_reference.h"
 #include "util/rng.h"
 
 namespace wakurln::hash {
@@ -62,6 +67,85 @@ TEST(PoseidonPermuteTest, Deterministic) {
   EXPECT_EQ(s1, s2);
 }
 
+// ---------------------------------------------------------------------------
+// The production permutation runs the optimised sparse schedule; the dense
+// textbook schedule in support/poseidon_reference.h is its oracle.
+
+TEST(PoseidonPermuteTest, MatchesDenseReferenceOnRandomStates) {
+  Rng rng(700);
+  for (int i = 0; i < 10000; ++i) {
+    std::array<Fr, 3> state = {Fr::random(rng), Fr::random(rng), Fr::random(rng)};
+    auto expect = state;
+    reference::poseidon_permute(expect);
+    poseidon_permute(state);
+    ASSERT_EQ(state, expect) << "state " << i;
+  }
+}
+
+TEST(PoseidonPermuteTest, MatchesDenseReferenceOnDegenerateStates) {
+  const Fr r1 = -Fr::one();
+  const std::vector<std::array<Fr, 3>> states = {
+      {Fr::zero(), Fr::zero(), Fr::zero()},
+      {Fr::one(), Fr::one(), Fr::one()},
+      {r1, r1, r1},
+      {r1, Fr::zero(), r1},
+      {Fr::zero(), r1, Fr::zero()},
+      {Fr::one(), r1, Fr::zero()},
+      {r1, Fr::one(), r1 - Fr::one()},
+  };
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    auto state = states[i];
+    auto expect = states[i];
+    reference::poseidon_permute(expect);
+    poseidon_permute(state);
+    ASSERT_EQ(state, expect) << "degenerate state " << i;
+  }
+}
+
+TEST(PoseidonPermuteTest, ConcurrentFirstCallsAgree) {
+  // The optimised schedule's constants are derived on first use. Four
+  // threads make that first call at once (ctest runs each test in its own
+  // process, so nothing here has hashed before) and must all see the
+  // finished constants.
+  constexpr int kThreads = 4;
+  constexpr int kHashes = 64;
+  std::vector<std::vector<Fr>> got(kThreads, std::vector<Fr>(kHashes));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kHashes; ++i) {
+        got[t][i] = poseidon_hash2(Fr::from_u64(static_cast<std::uint64_t>(t)),
+                                   Fr::from_u64(static_cast<std::uint64_t>(i)));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kHashes; ++i) {
+      ASSERT_EQ(got[t][i], reference::poseidon_hash2(Fr::from_u64(static_cast<std::uint64_t>(t)),
+                                                     Fr::from_u64(static_cast<std::uint64_t>(i))))
+          << "thread " << t << " hash " << i;
+    }
+  }
+}
+
+TEST(PoseidonHashTest, KnownAnswers) {
+  // Captured from the dense schedule before the optimised one replaced it.
+  const Fr r1 = -Fr::one();
+  EXPECT_EQ(poseidon_hash1(Fr::zero()).to_hex(),
+            "1d4462ebb2b768c00666139ca507a488dca567b0fa733b224d06346b32a08e9e");
+  EXPECT_EQ(poseidon_hash1(Fr::one()).to_hex(),
+            "1d358147ea9eb46dba7a335494ede59b2e28049404046cd12cfcb7d536ba142b");
+  EXPECT_EQ(poseidon_hash2(Fr::from_u64(1), Fr::from_u64(2)).to_hex(),
+            "119834533ead05ab296e74e16a3ed4d4e0ee7724ff5b7ecc884ad019af45a2c7");
+  EXPECT_EQ(poseidon_hash2(r1, r1).to_hex(),
+            "1e85b8f1dc2fb43c790280cdf3bd952f59bd236688f54df710740bda886b3a57");
+  EXPECT_EQ(merkle::zero_at_level(20).to_hex(),
+            "0b2d855ce386e5d3a676aa5ebf57f821d574c8f1d5be06c5b23144ec468f0653");
+}
+
 TEST(PoseidonHashTest, DeterministicAcrossCalls) {
   const Fr a = Fr::from_u64(123456);
   EXPECT_EQ(poseidon_hash1(a), poseidon_hash1(a));
@@ -100,75 +184,6 @@ TEST(PoseidonHashTest, OutputNotEqualToInput) {
   for (int i = 0; i < 20; ++i) {
     const Fr a = Fr::random(rng);
     EXPECT_NE(poseidon_hash1(a), a);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batch kernels: bit-identical to the scalar reference permutation.
-
-TEST(PoseidonBatchTest, PermuteBatchMatchesScalarPermute) {
-  // Sizes cover an empty span, a single state, a partial block, exactly
-  // one kernel block (8), and a multi-block run with remainder.
-  for (std::size_t n : {0u, 1u, 3u, 8u, 27u}) {
-    Rng rng(400 + n);
-    std::vector<std::array<Fr, PoseidonParams::kWidth>> states(n);
-    for (auto& s : states) {
-      for (auto& e : s) e = Fr::random(rng);
-    }
-    auto ref = states;
-    poseidon_permute_batch(states);
-    for (std::size_t i = 0; i < n; ++i) {
-      poseidon_permute(ref[i]);
-      ASSERT_EQ(states[i], ref[i]) << "state " << i << " of " << n;
-    }
-  }
-}
-
-TEST(PoseidonBatchTest, PermuteBatchMatchesOnDegenerateStates) {
-  // All-zero, all-one and mixed-extreme states: the batch S-box gathers
-  // lanes across states, so degenerate values must not leak between
-  // neighbours.
-  const Fr r1 = -Fr::one();
-  std::vector<std::array<Fr, PoseidonParams::kWidth>> states = {
-      {Fr::zero(), Fr::zero(), Fr::zero()},
-      {Fr::one(), Fr::one(), Fr::one()},
-      {r1, Fr::zero(), r1},
-      {Fr::from_u64(1), r1, Fr::zero()},
-  };
-  auto ref = states;
-  poseidon_permute_batch(states);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    poseidon_permute(ref[i]);
-    ASSERT_EQ(states[i], ref[i]) << "degenerate state " << i;
-  }
-}
-
-TEST(PoseidonBatchTest, Hash2BatchMatchesScalarHash2) {
-  for (std::size_t n : {0u, 1u, 8u, 21u}) {
-    Rng rng(500 + n);
-    std::vector<Fr> a(n), b(n), out(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = Fr::random(rng);
-      b[i] = Fr::random(rng);
-    }
-    poseidon_hash2_batch(a, b, out);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], poseidon_hash2(a[i], b[i])) << "pair " << i;
-    }
-  }
-}
-
-TEST(PoseidonBatchTest, Hash2BatchSupportsAliasedOutput) {
-  Rng rng(600);
-  std::vector<Fr> a(11), b(11);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = Fr::random(rng);
-    b[i] = Fr::random(rng);
-  }
-  const auto a_copy = a;
-  poseidon_hash2_batch(a, b, a);  // out aliases a
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], poseidon_hash2(a_copy[i], b[i])) << "aliased pair " << i;
   }
 }
 

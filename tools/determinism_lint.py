@@ -57,10 +57,10 @@ SCAN_GLOBS = [
     "src/sim/network.cpp",
     "src/waku/harness.h",
     "src/waku/harness.cpp",
-    # The batched crypto hot path: field kernels, batch Poseidon, batch
-    # Merkle appends and the prepared verifier all sit upstream of
-    # root/nullifier/verdict bytes in the report, and the batch kernels
-    # promise bit-identity with the scalar operations.
+    # The crypto hot path: the field kernels, the optimised Poseidon
+    # permutation, Merkle appends and the prepared verifier all sit
+    # upstream of root/nullifier/verdict bytes in the report, and each
+    # promises bit-identity with its reference in the test tree.
     "src/field/*.h",
     "src/field/*.cpp",
     "src/hash/poseidon.h",
