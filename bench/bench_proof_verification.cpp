@@ -1,13 +1,14 @@
 // E3 — §IV claim: "Proof verification run time is constant and takes
 // ≈30 ms" (independent of tree depth / group size).
 //
-// Measured: mock-backend verification (constant-size MAC check — flat
-// across depth and group size, matching Groth16's pairing check shape).
+// Measured: the relay's per-hop check, x = H(m) then
+// RlnVerifier::verify_prepared (a constant-size MAC check — flat across
+// depth and group size, matching Groth16's pairing check shape).
 // Modelled: the 30 ms paper anchor via the cost-model metric in
 // BENCH_proof_verification.json.
 //
 // Sweeps depth at fixed group size, then group size at fixed depth: both
-// series must be flat.
+// series must be flat (CI gates max/min of the verify_d*_g* rows).
 
 #include <cstdio>
 #include <string>
@@ -18,6 +19,7 @@
 #include "rln/group.h"
 #include "rln/identity.h"
 #include "rln/prover.h"
+#include "support/verify_reference.h"
 #include "zksnark/cost_model.h"
 #include "zksnark/rln_circuit.h"
 
@@ -56,7 +58,8 @@ int main() {
         bench::cat("verify_d", depth, "_g", group_size),
         [&] {
           for (int i = 0; i < 20; ++i) {
-            if (!verifier.verify(payload, *signal)) ok = false;
+            const field::Fr x = zksnark::RlnCircuit::message_to_x(payload);
+            if (!verifier.verify_prepared(*signal, x)) ok = false;
           }
         },
         /*reps=*/15, /*warmup=*/2, /*batch=*/20);
@@ -67,8 +70,9 @@ int main() {
   }
 
   {
-    // Prepared verification: HMAC midstates + transcript prefix cached,
-    // stack serialisation — same verdicts, no per-call allocation.
+    // The production path (HMAC midstates + transcript prefix cached,
+    // stack serialisation, no per-call allocation) against the reference
+    // transcript, the tests' oracle (tests/support/verify_reference.h).
     const std::size_t depth = 20;
     util::Rng rng(3000);
     rln::RlnGroup group(depth);
@@ -89,12 +93,12 @@ int main() {
         "verify_reference_d20_g16",
         [&] {
           for (int i = 0; i < 20; ++i) {
-            if (!verifier.verify(payload, *signal)) ok = false;
+            if (!rln::reference::verify_signal(keys.vk, 1, payload, *signal)) ok = false;
           }
         },
         /*reps=*/15, /*warmup=*/2, /*batch=*/20);
     // H(m) stays inside the prepared timings so they do the same work as
-    // the reference call (the relay hashes once and reuses x).
+    // the reference call (the relay hashes once per hop and reuses x).
     const auto& prepared_s = runner.run(
         "verify_prepared_d20_g16",
         [&] {

@@ -75,7 +75,6 @@ const Block& Chain::mine_block(std::uint64_t timestamp) {
   for (const auto& ev : sealed_events) {
     for (const auto& handler : event_handlers_) handler(ev, sealed);
   }
-  for (const auto& handler : block_handlers_) handler(sealed);
   return sealed;
 }
 
@@ -87,10 +86,6 @@ const Receipt* Chain::receipt(std::uint64_t tx_id) const {
 
 void Chain::subscribe_events(EventHandler handler) {
   event_handlers_.push_back(std::move(handler));
-}
-
-void Chain::subscribe_blocks(BlockHandler handler) {
-  block_handlers_.push_back(std::move(handler));
 }
 
 }  // namespace wakurln::eth

@@ -126,16 +126,13 @@ class Chain {
 
   using EventHandler = std::function<void(const ContractEvent&, const Block&)>;
 
-  /// Registers a listener for sealed-block contract events.
+  /// Registers a listener for sealed-block contract events. A sealed
+  /// block's events are dispatched in transaction order, each to every
+  /// handler in subscription order before the next event goes out: a
+  /// later subscriber sees the state an earlier one left after the same
+  /// event (a relay subscribed after GroupSync finds each registration
+  /// already in the tree).
   void subscribe_events(EventHandler handler);
-
-  using BlockHandler = std::function<void(const Block&)>;
-
-  /// Registers a listener fired once per sealed block, after every
-  /// per-event handler has run (even for blocks with no events). Lets
-  /// subscribers that buffer events (e.g. GroupSync's batched
-  /// registration flush) finalise their state at a block boundary.
-  void subscribe_blocks(BlockHandler handler);
 
  private:
   struct PendingTx {
@@ -155,7 +152,6 @@ class Chain {
   std::vector<Block> blocks_;
   std::vector<Receipt> receipts_;  // indexed by tx id - 1
   std::vector<EventHandler> event_handlers_;
-  std::vector<BlockHandler> block_handlers_;
 };
 
 }  // namespace wakurln::eth

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "hash/poseidon.h"
-#include "util/check.h"
 
 namespace wakurln::merkle {
 
@@ -63,20 +62,6 @@ std::uint64_t MerkleTree::append(const field::Fr& leaf) {
     idx = parent;
   }
   return index;
-}
-
-std::uint64_t MerkleTree::append_batch(std::span<const field::Fr> leaves,
-                                       std::span<field::Fr> roots_out) {
-  WAKURLN_CHECK(roots_out.empty() || roots_out.size() == leaves.size());
-  if (leaves.size() > capacity() - next_index_) {
-    throw std::length_error("MerkleTree: capacity exhausted");
-  }
-  const std::uint64_t base = next_index_;
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    append(leaves[i]);
-    if (!roots_out.empty()) roots_out[i] = root();
-  }
-  return base;
 }
 
 void MerkleTree::update(std::uint64_t index, const field::Fr& leaf) {

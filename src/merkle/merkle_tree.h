@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "field/fr.h"
@@ -44,15 +43,6 @@ class MerkleTree {
 
   /// Appends a leaf; returns its index. Throws std::length_error when full.
   std::uint64_t append(const field::Fr& leaf);
-
-  /// Appends `leaves` contiguously, one append() each, and returns the
-  /// index of the first appended leaf. If `roots_out` is non-empty it
-  /// must hold leaves.size() slots and receives the tree root after each
-  /// individual append: GroupSync needs every intermediate root for the
-  /// acceptable-root window. Throws std::length_error, leaving the tree
-  /// untouched, when the batch does not fit.
-  std::uint64_t append_batch(std::span<const field::Fr> leaves,
-                             std::span<field::Fr> roots_out = {});
 
   /// Overwrites an existing leaf (member deletion sets it to zero).
   /// Throws std::out_of_range if index >= size().

@@ -18,21 +18,6 @@ std::uint64_t RlnGroup::add_member(const field::Fr& pk) {
   return index;
 }
 
-std::uint64_t RlnGroup::add_members(std::span<const field::Fr> pks,
-                                    std::span<field::Fr> roots_out) {
-  for (const field::Fr& pk : pks) {
-    if (pk.is_zero()) {
-      throw std::invalid_argument("RlnGroup: zero is reserved for empty/deleted leaves");
-    }
-  }
-  const std::uint64_t base = tree_.append_batch(pks, roots_out);
-  for (std::size_t i = 0; i < pks.size(); ++i) {
-    index_by_pk_[pks[i]] = base + i;
-  }
-  active_members_ += pks.size();
-  return base;
-}
-
 void RlnGroup::remove_member(std::uint64_t index) {
   const field::Fr pk = tree_.leaf(index);
   if (pk.is_zero()) {
@@ -45,10 +30,10 @@ void RlnGroup::remove_member(std::uint64_t index) {
 
 RlnGroup RlnGroup::from_leaves(std::size_t tree_depth, std::span<const field::Fr> leaves) {
   RlnGroup group(tree_depth);
-  group.tree_.append_batch(leaves);
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    if (leaves[i].is_zero()) continue;
-    group.index_by_pk_[leaves[i]] = i;
+  for (const field::Fr& leaf : leaves) {
+    const std::uint64_t index = group.tree_.append(leaf);
+    if (leaf.is_zero()) continue;
+    group.index_by_pk_[leaf] = index;
     ++group.active_members_;
   }
   return group;

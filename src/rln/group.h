@@ -25,20 +25,15 @@ class RlnGroup {
   /// Inserts a member commitment; returns its leaf index.
   std::uint64_t add_member(const field::Fr& pk);
 
-  /// Inserts a run of member commitments through the tree's
-  /// append_batch; returns the leaf index of the first. If `roots_out`
-  /// is non-empty it must hold pks.size() slots and receives the tree
-  /// root after each individual insertion, bit-identical to calling
-  /// add_member in a loop (as is all bookkeeping).
-  std::uint64_t add_members(std::span<const field::Fr> pks,
-                            std::span<field::Fr> roots_out = {});
-
   /// Deletes the member at `index` by zeroing its leaf (slashing).
   void remove_member(std::uint64_t index);
 
   /// Rebuilds a group from its full leaf sequence, a zero leaf being a
-  /// deleted slot (the persisted snapshot). One batch append: the root
-  /// and every active index equal those of the group the leaves came from.
+  /// deleted slot (the persisted snapshot). One append per leaf: the root
+  /// and every active index equal those of the group the leaves came
+  /// from. A pk placed in two slots is indexed at the later one only
+  /// (rln::load_group rejects such a snapshot). Throws std::length_error
+  /// when the leaves exceed the tree's capacity.
   static RlnGroup from_leaves(std::size_t tree_depth, std::span<const field::Fr> leaves);
 
   /// Leaf index of `pk`, if this exact commitment is an active member.

@@ -60,7 +60,15 @@ std::optional<RlnGroup> load_group(std::span<const std::uint8_t> data) {
       if (!leaf) return std::nullopt;
       leaf_values.push_back(*leaf);
     }
-    return RlnGroup::from_leaves(depth, leaf_values);
+    RlnGroup group = RlnGroup::from_leaves(depth, leaf_values);
+    // The contract never registers one pk twice. A snapshot that places
+    // it in two slots would count two members but index only one.
+    for (std::size_t i = 0; i < leaf_values.size(); ++i) {
+      if (!leaf_values[i].is_zero() && group.index_of(leaf_values[i]) != i) {
+        return std::nullopt;
+      }
+    }
+    return group;
   } catch (const util::DecodeError&) {
     return std::nullopt;
   }

@@ -18,7 +18,8 @@ util::Bytes save_identity(const Identity& identity);
 std::optional<Identity> load_identity(std::span<const std::uint8_t> data);
 
 /// Full group snapshot: depth, leaves (including zeroed/slashed slots).
-/// Restoring replays the leaves, so the root matches bit-for-bit.
+/// Restoring replays the leaves, so the root matches bit-for-bit. A
+/// snapshot that places one pk in two slots is rejected.
 util::Bytes save_group(const RlnGroup& group);
 std::optional<RlnGroup> load_group(std::span<const std::uint8_t> data);
 

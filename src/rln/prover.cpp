@@ -59,27 +59,12 @@ std::optional<RlnSignal> RlnProver::create_signal(std::span<const std::uint8_t> 
   return signal;
 }
 
-RlnVerifier::RlnVerifier(zksnark::VerifyingKey verifying_key,
+RlnVerifier::RlnVerifier(const zksnark::VerifyingKey& verifying_key,
                          std::uint64_t messages_per_epoch)
-    : verifying_key_(std::move(verifying_key)),
-      prepared_(verifying_key_),
-      messages_per_epoch_(messages_per_epoch) {
+    : prepared_(verifying_key), messages_per_epoch_(messages_per_epoch) {
   if (messages_per_epoch_ == 0) {
     throw std::invalid_argument("RlnVerifier: rate must be positive");
   }
-}
-
-bool RlnVerifier::verify(std::span<const std::uint8_t> payload,
-                         const RlnSignal& signal) const {
-  if (signal.message_index >= messages_per_epoch_) return false;
-  zksnark::RlnPublicInputs pub;
-  pub.root = signal.root;
-  pub.epoch =
-      external_nullifier(signal.epoch, signal.message_index, messages_per_epoch_);
-  pub.x = zksnark::RlnCircuit::message_to_x(payload);
-  pub.y = signal.y;
-  pub.nullifier = signal.nullifier;
-  return zksnark::MockGroth16::verify(verifying_key_, signal.proof, pub);
 }
 
 bool RlnVerifier::verify_prepared(const RlnSignal& signal, const Fr& x) const {

@@ -44,25 +44,18 @@ class RlnProver {
 /// epoch-window and double-signal policy live in the waku layer).
 class RlnVerifier {
  public:
-  explicit RlnVerifier(zksnark::VerifyingKey verifying_key,
+  explicit RlnVerifier(const zksnark::VerifyingKey& verifying_key,
                        std::uint64_t messages_per_epoch = 1);
 
   /// True iff the signal's slot index is within the rate and the proof
-  /// verifies for (root, ∅(epoch, index), H(payload), y, nullifier). The
-  /// reference oracle: hashes the payload itself.
-  bool verify(std::span<const std::uint8_t> payload, const RlnSignal& signal) const;
-
-  /// The same check for a caller that already holds the share's x
-  /// coordinate, x = RlnCircuit::message_to_x(payload): identical verdict
-  /// to verify(payload, signal) bit-for-bit (pinned by tests/rln_test.cpp
-  /// and tests/zksnark_test.cpp), through the allocation-free
-  /// PreparedVerifier with precomputed HMAC midstates. The relay computes
-  /// x once per validation and hands it to both this check and its
-  /// nullifier map; this is the relay's one production verify path.
+  /// verifies for (root, ∅(epoch, index), x, y, nullifier), where the
+  /// caller supplies the share's x coordinate,
+  /// x = RlnCircuit::message_to_x(payload). The relay computes x once per
+  /// validation and hands it to both this check and its nullifier map.
+  /// tests/support/verify_reference.h holds the payload-hashing oracle.
   bool verify_prepared(const RlnSignal& signal, const field::Fr& x) const;
 
  private:
-  zksnark::VerifyingKey verifying_key_;
   zksnark::PreparedVerifier prepared_;
   std::uint64_t messages_per_epoch_;
 };

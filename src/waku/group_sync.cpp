@@ -6,22 +6,17 @@ GroupSync::GroupSync(eth::Chain& chain, std::size_t tree_depth) : group_(tree_de
   note_root();  // r_0: the empty tree
   chain.subscribe_events(
       [this](const eth::ContractEvent& ev, const eth::Block&) { on_event(ev); });
-  chain.subscribe_blocks([this](const eth::Block&) { flush_pending(); });
 }
 
 void GroupSync::on_event(const eth::ContractEvent& event) {
   if (const auto* reg = std::get_if<eth::MemberRegistered>(&event)) {
-    // Stats count at event time; the tree mutation and the root-history
-    // entry land at flush time in the same order. Appending a non-zero
-    // leaf always moves the root.
-    pending_pks_.push_back(reg->pk);
+    // Appending a non-zero leaf always moves the root.
+    group_.add_member(reg->pk);
     ++stats_.registrations_applied;
     ++stats_.root_updates;
     stats_.sync_bytes += kEventWireBytes;
+    note_root();
   } else if (const auto* slashed = std::get_if<eth::MemberSlashed>(&event)) {
-    // A slash reads (and edits) current membership: apply everything
-    // buffered ahead of it first.
-    flush_pending();
     ++stats_.slashes_applied;
     stats_.sync_bytes += kEventWireBytes;
     if (group_.is_active(slashed->index)) {
@@ -32,21 +27,8 @@ void GroupSync::on_event(const eth::ContractEvent& event) {
   }
 }
 
-void GroupSync::flush_pending() {
-  if (pending_pks_.empty()) return;
-  pending_roots_.resize(pending_pks_.size());
-  group_.add_members(pending_pks_, pending_roots_);
-  for (const field::Fr& root : pending_roots_) {
-    note_root_value(root);
-  }
-  pending_pks_.clear();
-}
-
 void GroupSync::note_root() {
-  note_root_value(group_.root());
-}
-
-void GroupSync::note_root_value(const field::Fr& root) {
+  const field::Fr root = group_.root();
   if (!root_history_.empty() && root_history_.back() == root) return;
   root_history_.push_back(root);
   while (root_history_.size() > kMaxRootHistory) {

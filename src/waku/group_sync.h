@@ -1,6 +1,8 @@
 #pragma once
 // Membership group sync as a standalone service: one chain subscriber
-// applying MemberRegistered / MemberSlashed events to one Merkle tree.
+// applying each MemberRegistered / MemberSlashed event to one Merkle tree
+// as the event arrives (one append or one leaf update, then one
+// root-history entry if the root moved).
 //
 // Every honest peer deterministically applies the same contract events in
 // the same order, so all per-peer trees in one simulated world are
@@ -18,7 +20,6 @@
 
 #include <deque>
 #include <memory>
-#include <vector>
 
 #include "eth/chain.h"
 #include "rln/group.h"
@@ -48,15 +49,9 @@ class GroupSync {
   };
 
   /// Subscribes to `chain` events immediately; construct before any relay
-  /// that reads the group, so membership updates land first.
-  ///
-  /// Registrations arriving within one block are buffered and applied
-  /// through RlnGroup::add_members when the block seals (or earlier, the
-  /// moment a slash needs the up-to-date membership). Every
-  /// per-registration root still enters the history in order and stats
-  /// count at event time, so the state observable between blocks is
-  /// exactly what one add_member/remove_member per event would give
-  /// (tests/waku_test.cpp checks it against such an oracle).
+  /// that reads the group. The chain hands each event to its subscribers
+  /// in subscription order, so every later subscriber finds the event
+  /// already applied: tree, root history and stats.
   GroupSync(eth::Chain& chain, std::size_t tree_depth);
 
   const rln::RlnGroup& group() const { return group_; }
@@ -92,18 +87,11 @@ class GroupSync {
 
  private:
   void on_event(const eth::ContractEvent& event);
-  /// Applies the buffered registrations in one batch append.
-  void flush_pending();
   /// Appends the current root to the history if it changed.
   void note_root();
-  /// Appends `root` to the history if it changed.
-  void note_root_value(const field::Fr& root);
 
   rln::RlnGroup group_;
   Stats stats_;
-  /// Registrations buffered since the last flush.
-  std::vector<field::Fr> pending_pks_;
-  std::vector<field::Fr> pending_roots_;
   /// Consecutive-deduplicated recent roots, newest at the back.
   std::deque<field::Fr> root_history_;
   /// Roots aged out of the front of root_history_.

@@ -309,43 +309,21 @@ util::Bytes WakuRlnRelay::encode_envelope(const rln::RlnSignal& signal,
   return w.take();
 }
 
-namespace {
-
-/// One parser for both decode_envelope overloads: the payload is returned
-/// as a span into `data`, so callers choose copy vs shared-slice.
-std::optional<std::pair<rln::RlnSignal, std::span<const std::uint8_t>>>
-parse_envelope(std::span<const std::uint8_t> data) {
+std::optional<std::pair<rln::RlnSignal, util::SharedBytes>> WakuRlnRelay::decode_envelope(
+    const util::SharedBytes& data) {
   try {
-    util::ByteReader r(data);
+    util::ByteReader r(data.span());
     const auto signal_bytes = r.get_var();
     const auto payload = r.get_var();
     if (!r.empty()) return std::nullopt;
     auto signal = rln::RlnSignal::deserialize(signal_bytes);
     if (!signal) return std::nullopt;
-    return std::make_pair(*signal, payload);
+    // The payload view shares data's buffer: no copy on the hot path.
+    const auto offset = static_cast<std::size_t>(payload.data() - data.data());
+    return std::make_pair(*signal, data.slice(offset, payload.size()));
   } catch (const util::DecodeError&) {
     return std::nullopt;
   }
-}
-
-}  // namespace
-
-std::optional<std::pair<rln::RlnSignal, util::Bytes>> WakuRlnRelay::decode_envelope(
-    std::span<const std::uint8_t> data) {
-  auto parsed = parse_envelope(data);
-  if (!parsed) return std::nullopt;
-  return std::make_pair(std::move(parsed->first),
-                        util::Bytes(parsed->second.begin(), parsed->second.end()));
-}
-
-std::optional<std::pair<rln::RlnSignal, util::SharedBytes>> WakuRlnRelay::decode_envelope(
-    const util::SharedBytes& data) {
-  auto parsed = parse_envelope(data.span());
-  if (!parsed) return std::nullopt;
-  // The payload view shares data's buffer: no copy on the hot path.
-  const auto offset = static_cast<std::size_t>(parsed->second.data() - data.data());
-  return std::make_pair(std::move(parsed->first),
-                        data.slice(offset, parsed->second.size()));
 }
 
 }  // namespace wakurln::waku

@@ -166,10 +166,9 @@ class WakuRlnRelay {
   /// The RLN wire envelope: var(signal) || var(payload).
   static util::Bytes encode_envelope(const rln::RlnSignal& signal,
                                      const util::Bytes& payload);
-  static std::optional<std::pair<rln::RlnSignal, util::Bytes>> decode_envelope(
-      std::span<const std::uint8_t> data);
-  /// Zero-copy variant: the returned payload is a slice sharing `data`'s
-  /// buffer (no allocation on the validation hot path).
+  /// Parses an envelope; nullopt unless `data` is exactly one well-formed
+  /// envelope. The returned payload is a slice sharing `data`'s buffer
+  /// (no allocation on the validation hot path).
   static std::optional<std::pair<rln::RlnSignal, util::SharedBytes>> decode_envelope(
       const util::SharedBytes& data);
 

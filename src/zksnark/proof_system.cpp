@@ -70,19 +70,6 @@ std::optional<Proof> MockGroth16::prove(const ProvingKey& pk, const RlnWitness& 
   return proof;
 }
 
-bool MockGroth16::verify(const VerifyingKey& vk, const Proof& proof,
-                         const RlnPublicInputs& pub) {
-  const auto salt = std::span<const std::uint8_t>(proof.bytes).first(32);
-  const hash::Digest tag =
-      binding_tag(vk.binding_secret, vk.circuit_id, vk.tree_depth, salt, pub);
-  if (!util::equal_ct(tag, std::span<const std::uint8_t>(proof.bytes).subspan(32, 32))) {
-    return false;
-  }
-  std::array<std::uint8_t, Proof::kSize - 64> expansion{};
-  expand_tag(tag, expansion);
-  return util::equal_ct(expansion, std::span<const std::uint8_t>(proof.bytes).subspan(64));
-}
-
 PreparedVerifier::PreparedVerifier(const VerifyingKey& vk) {
   // HMAC key schedule, mirroring hash::hmac_sha256 for a 32-byte key.
   std::array<std::uint8_t, 64> ipad{};

@@ -67,28 +67,25 @@ class MockGroth16 {
   static std::optional<Proof> prove(const ProvingKey& pk, const RlnWitness& witness,
                                     const RlnPublicInputs& pub, util::Rng& rng);
 
-  /// Constant-time acceptance check of `proof` against the public inputs.
-  static bool verify(const VerifyingKey& vk, const Proof& proof,
-                     const RlnPublicInputs& pub);
-
   /// Modelled proving-key size for a depth-d circuit, anchored to the
   /// paper's 3.89 MB figure.
   static std::size_t modelled_proving_key_bytes(std::size_t tree_depth);
 };
 
-/// Allocation-free verifier for one verifying key. Precomputes the HMAC
-/// ipad/opad midstates and the constant transcript prefix (circuit id +
-/// depth) once, then each verify() resumes from the cached state and
-/// serialises the varying parts (salt, public inputs) into stack
-/// buffers — no ByteWriter heap traffic on the validation hot path.
-/// Replays the exact MockGroth16::verify byte transcript, so verdicts
-/// are bit-equal (pinned by tests/zksnark_test.cpp). Verify is const and
-/// copies the midstates per call: safe to share across a world's relays.
+/// The verifier for MockGroth16 proofs under one verifying key.
+/// Precomputes the HMAC ipad/opad midstates and the constant transcript
+/// prefix (circuit id + depth) once, then each verify() resumes from the
+/// cached state and serialises the varying parts (salt, public inputs)
+/// into stack buffers — no heap traffic on the validation hot path. It
+/// replays the prover's byte transcript exactly; the step-by-step
+/// transcript in tests/support/verify_reference.h is its oracle. Verify
+/// is const and copies the midstates per call: safe to share across a
+/// world's relays.
 class PreparedVerifier {
  public:
   explicit PreparedVerifier(const VerifyingKey& vk);
 
-  /// Same verdict as MockGroth16::verify(vk, proof, pub).
+  /// Constant-time acceptance check of `proof` against the public inputs.
   bool verify(const Proof& proof, const RlnPublicInputs& pub) const;
 
  private:

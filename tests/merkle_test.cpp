@@ -154,116 +154,6 @@ TEST(MerkleTreeTest, FullStorageMatchesPaperAtDepth20) {
   EXPECT_NEAR(static_cast<double>(bytes) / 1e6, 67.0, 1.0);
 }
 
-// ---------------------------------------------------------------------------
-// Batch appends: bit-identical storage AND intermediate roots.
-
-// Scalar-reference twin: appends the same leaves one by one, recording
-// the root after each, and compares final roots, per-append root
-// history, and every leaf's authentication path.
-void expect_batch_equals_scalar(std::size_t depth, std::uint64_t prefill,
-                                std::size_t batch, std::uint64_t seed) {
-  MerkleTree batched(depth), scalar(depth);
-  Rng rng(seed);
-  for (std::uint64_t i = 0; i < prefill; ++i) {
-    const Fr leaf = Fr::random(rng);
-    batched.append(leaf);
-    scalar.append(leaf);
-  }
-  std::vector<Fr> leaves;
-  for (std::size_t i = 0; i < batch; ++i) leaves.push_back(Fr::random(rng));
-
-  std::vector<Fr> roots(batch);
-  const std::uint64_t first = batched.append_batch(leaves, roots);
-  EXPECT_EQ(first, prefill);
-  for (std::size_t i = 0; i < batch; ++i) {
-    scalar.append(leaves[i]);
-    ASSERT_EQ(roots[i], scalar.root())
-        << "intermediate root " << i << " (depth " << depth << ", prefill "
-        << prefill << ", batch " << batch << ")";
-  }
-  ASSERT_EQ(batched.root(), scalar.root());
-  for (std::uint64_t i = 0; i < batched.size(); ++i) {
-    ASSERT_EQ(batched.prove(i).siblings, scalar.prove(i).siblings)
-        << "leaf " << i;
-  }
-}
-
-TEST(MerkleBatchTest, AppendBatchMatchesScalarAppends) {
-  // Prefill alignment sweeps odd/even start indices; batch sizes sweep
-  // empty, singleton, odd, a full level and the registration-storm wave
-  // shape (4 joins per wave).
-  for (std::uint64_t prefill : {0u, 1u, 2u, 3u, 5u}) {
-    for (std::size_t batch : {0u, 1u, 3u, 4u, 8u, 17u}) {
-      expect_batch_equals_scalar(6, prefill, batch, 700 + prefill * 31 + batch);
-    }
-  }
-}
-
-TEST(MerkleBatchTest, AppendBatchFillsTreeToCapacity) {
-  expect_batch_equals_scalar(4, 0, 16, 800);   // whole tree in one batch
-  expect_batch_equals_scalar(4, 7, 9, 801);    // odd prefill to capacity
-  expect_batch_equals_scalar(1, 0, 2, 802);    // minimal depth
-}
-
-TEST(MerkleBatchTest, AppendBatchWithoutRootsOut) {
-  MerkleTree batched(5), scalar(5);
-  Rng rng(810);
-  std::vector<Fr> leaves;
-  for (int i = 0; i < 9; ++i) leaves.push_back(Fr::random(rng));
-  batched.append_batch(leaves);  // roots_out omitted
-  for (const Fr& leaf : leaves) scalar.append(leaf);
-  EXPECT_EQ(batched.root(), scalar.root());
-}
-
-TEST(MerkleBatchTest, AppendBatchBeyondCapacityThrowsUntouched) {
-  MerkleTree tree(2);
-  tree.append(Fr::from_u64(1));
-  const Fr before = tree.root();
-  std::vector<Fr> leaves = {Fr::from_u64(2), Fr::from_u64(3), Fr::from_u64(4),
-                            Fr::from_u64(5)};
-  EXPECT_THROW(tree.append_batch(leaves), std::length_error);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.root(), before);
-}
-
-TEST(MerkleBatchTest, AppendBatchRootsOutSizeMismatchChecks) {
-  // A wrongly sized roots_out is a programmer error, not user input:
-  // it CHECKs (aborts) rather than throwing.
-  MerkleTree tree(3);
-  std::vector<Fr> leaves = {Fr::from_u64(1), Fr::from_u64(2)};
-  std::vector<Fr> wrong(1);
-  EXPECT_DEATH(tree.append_batch(leaves, wrong), "CHECK failed");
-}
-
-TEST(MerkleBatchTest, InterleavedBatchesAndSlashChurnMatchScalar) {
-  // Registration-storm shape: waves of batched joins interleaved with
-  // slashes (leaf zeroed via update), which is exactly how GroupSync
-  // drives the tree. The scalar twin must agree after every operation.
-  MerkleTree batched(6), scalar(6);
-  Rng rng(820);
-  std::uint64_t joined = 0;
-  for (int wave = 0; wave < 6; ++wave) {
-    std::vector<Fr> joins;
-    for (int j = 0; j < 4; ++j) joins.push_back(Fr::random(rng));
-    std::vector<Fr> roots(joins.size());
-    batched.append_batch(joins, roots);
-    for (std::size_t j = 0; j < joins.size(); ++j) {
-      scalar.append(joins[j]);
-      ASSERT_EQ(roots[j], scalar.root()) << "wave " << wave << " join " << j;
-    }
-    joined += joins.size();
-    // Slash one member from this wave and one early member.
-    const std::uint64_t victim = joined - 2;
-    batched.update(victim, Fr::zero());
-    scalar.update(victim, Fr::zero());
-    if (wave > 0) {
-      batched.update(static_cast<std::uint64_t>(wave) - 1, Fr::zero());
-      scalar.update(static_cast<std::uint64_t>(wave) - 1, Fr::zero());
-    }
-    ASSERT_EQ(batched.root(), scalar.root()) << "after wave " << wave;
-  }
-}
-
 TEST(FrontierTest, MatchesFullTreeRootAtEveryStep) {
   for (std::size_t depth : {1u, 2u, 3u, 6u}) {
     MerkleTree tree(depth);

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <vector>
 
 #include "rln/persistence.h"
 #include "rln/prover.h"
 #include "util/rng.h"
 #include "util/serde.h"
+#include "zksnark/rln_circuit.h"
 
 namespace wakurln::rln {
 namespace {
@@ -103,8 +105,32 @@ TEST(PersistenceTest, RestoredGroupProducesVerifiableProofs) {
   const Bytes payload = util::to_bytes("proof from restored group");
   const auto signal = prover.create_signal(payload, 1, *loaded, index, rng);
   ASSERT_TRUE(signal.has_value());
-  EXPECT_TRUE(verifier.verify(payload, *signal));
+  EXPECT_TRUE(
+      verifier.verify_prepared(*signal, zksnark::RlnCircuit::message_to_x(payload)));
   EXPECT_EQ(signal->root, group.root());
+}
+
+TEST(PersistenceTest, GroupRejectsOnePkInTwoSlots) {
+  // The contract reverts a second registration of a live pk, so no real
+  // group holds one pk in two live slots. Restored, such a snapshot would
+  // count two members but index only one; load_group rejects it.
+  Rng rng(8);
+  const field::Fr pk = Identity::generate(rng).pk;
+  const auto snapshot = [](std::initializer_list<field::Fr> leaves) {
+    util::ByteWriter w;
+    w.put_u32(0x524c4e47);  // "RLNG"
+    w.put_u32(4);
+    w.put_u64(leaves.size());
+    for (const field::Fr& leaf : leaves) w.put_raw(leaf.to_bytes_be());
+    return w.take();
+  };
+  EXPECT_FALSE(load_group(snapshot({pk, pk})).has_value());
+  EXPECT_FALSE(load_group(snapshot({pk, field::Fr::zero(), pk})).has_value());
+  // A pk slashed and registered again holds one live slot: accepted.
+  const auto reregistered = load_group(snapshot({field::Fr::zero(), pk}));
+  ASSERT_TRUE(reregistered.has_value());
+  EXPECT_EQ(reregistered->member_count(), 1u);
+  EXPECT_EQ(reregistered->index_of(pk), std::optional<std::uint64_t>(1));
 }
 
 TEST(PersistenceTest, GroupRejectsCorruption) {
@@ -145,13 +171,15 @@ TEST(PersistenceTest, KeypairRoundTripInteroperates) {
   const Bytes payload = util::to_bytes("cross-key check");
   const auto signal = prover.create_signal(payload, 2, group, index, rng);
   ASSERT_TRUE(signal.has_value());
-  EXPECT_TRUE(loaded_verifier.verify(payload, *signal));
+  EXPECT_TRUE(
+      loaded_verifier.verify_prepared(*signal, zksnark::RlnCircuit::message_to_x(payload)));
 
   const RlnProver loaded_prover(loaded->pk, id);
   const RlnVerifier verifier(keys.vk);
   const auto signal2 = loaded_prover.create_signal(payload, 3, group, index, rng);
   ASSERT_TRUE(signal2.has_value());
-  EXPECT_TRUE(verifier.verify(payload, *signal2));
+  EXPECT_TRUE(
+      verifier.verify_prepared(*signal2, zksnark::RlnCircuit::message_to_x(payload)));
 }
 
 TEST(PersistenceTest, KeypairRejectsCorruption) {

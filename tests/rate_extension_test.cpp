@@ -18,6 +18,7 @@
 #include "rln/prover.h"
 #include "shamir/shamir.h"
 #include "waku/harness.h"
+#include "zksnark/rln_circuit.h"
 
 namespace wakurln {
 namespace {
@@ -173,7 +174,8 @@ TEST(RateProverTest, AllSlotsVerify) {
     const auto signal = f.prover.create_signal(payload, 5, f.group, f.index, f.rng, slot);
     ASSERT_TRUE(signal.has_value()) << "slot " << slot;
     EXPECT_EQ(signal->message_index, slot);
-    EXPECT_TRUE(f.verifier.verify(payload, *signal));
+    EXPECT_TRUE(
+        f.verifier.verify_prepared(*signal, zksnark::RlnCircuit::message_to_x(payload)));
   }
 }
 
@@ -191,7 +193,8 @@ TEST(RateProverTest, VerifierRejectsOutOfRangeSlot) {
   auto signal = f.prover.create_signal(payload, 5, f.group, f.index, f.rng, 1);
   ASSERT_TRUE(signal.has_value());
   signal->message_index = RateFixture::kRate;  // forged out-of-range slot
-  EXPECT_FALSE(f.verifier.verify(payload, *signal));
+  EXPECT_FALSE(
+      f.verifier.verify_prepared(*signal, zksnark::RlnCircuit::message_to_x(payload)));
 }
 
 TEST(RateProverTest, SlotIndexIsBoundIntoProof) {
@@ -202,7 +205,8 @@ TEST(RateProverTest, SlotIndexIsBoundIntoProof) {
   auto signal = f.prover.create_signal(payload, 5, f.group, f.index, f.rng, 1);
   ASSERT_TRUE(signal.has_value());
   signal->message_index = 2;
-  EXPECT_FALSE(f.verifier.verify(payload, *signal));
+  EXPECT_FALSE(
+      f.verifier.verify_prepared(*signal, zksnark::RlnCircuit::message_to_x(payload)));
 }
 
 TEST(RateProverTest, DistinctSlotsHaveDistinctNullifiers) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hash/poseidon.h"
 #include "rln/epoch.h"
 #include "rln/group.h"
@@ -8,6 +10,7 @@
 #include "rln/prover.h"
 #include "rln/signal.h"
 #include "shamir/shamir.h"
+#include "support/verify_reference.h"
 #include "util/rng.h"
 #include "zksnark/rln_circuit.h"
 
@@ -95,6 +98,56 @@ TEST(GroupTest, RejectsZeroCommitment) {
   EXPECT_THROW(group.add_member(Fr::zero()), std::invalid_argument);
 }
 
+// A group built one add_member / remove_member at a time, against
+// from_leaves of its leaf sequence (zero = a slashed slot): same root,
+// counts, indices and membership paths.
+void expect_from_leaves_matches(std::size_t depth, std::size_t members,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  RlnGroup built(depth);
+  std::vector<Fr> pks;
+  for (std::size_t i = 0; i < members; ++i) {
+    pks.push_back(Identity::generate(rng).pk);
+    built.add_member(pks.back());
+  }
+  for (std::size_t i = 1; i < members; i += 3) built.remove_member(i);
+  std::vector<Fr> leaves;
+  for (std::uint64_t i = 0; i < built.leaf_count(); ++i) {
+    leaves.push_back(built.tree().leaf(i));
+  }
+  const RlnGroup restored = RlnGroup::from_leaves(depth, leaves);
+  ASSERT_EQ(restored.root(), built.root())
+      << "depth " << depth << ", " << members << " members";
+  ASSERT_EQ(restored.leaf_count(), built.leaf_count());
+  ASSERT_EQ(restored.member_count(), built.member_count());
+  for (std::size_t i = 0; i < members; ++i) {
+    ASSERT_EQ(restored.index_of(pks[i]), built.index_of(pks[i])) << "member " << i;
+    ASSERT_EQ(restored.is_active(i), built.is_active(i)) << "member " << i;
+    if (built.is_active(i)) {
+      ASSERT_EQ(restored.membership_proof(i).siblings, built.membership_proof(i).siblings)
+          << "member " << i;
+    }
+  }
+}
+
+TEST(GroupTest, FromLeavesMatchesPerMemberGroup) {
+  // Sizes sweep empty, singleton, odd, a full level and past it.
+  for (std::size_t members : {0u, 1u, 3u, 4u, 8u, 17u}) {
+    expect_from_leaves_matches(6, members, 700 + members);
+  }
+}
+
+TEST(GroupTest, FromLeavesFillsTreeToCapacity) {
+  expect_from_leaves_matches(4, 16, 800);  // every slot of a depth-4 tree
+  expect_from_leaves_matches(1, 2, 802);   // minimal depth
+}
+
+TEST(GroupTest, FromLeavesBeyondCapacityThrows) {
+  const std::vector<Fr> leaves = {Fr::from_u64(1), Fr::from_u64(2), Fr::from_u64(3),
+                                  Fr::from_u64(4), Fr::from_u64(5)};
+  EXPECT_THROW(RlnGroup::from_leaves(2, leaves), std::length_error);
+}
+
 TEST(GroupTest, MembershipProofVerifiesAgainstRoot) {
   Rng rng(705);
   RlnGroup group(8);
@@ -115,6 +168,13 @@ struct ProverFixture {
   RlnVerifier verifier{keys.vk};
 };
 
+// The relay's check of `signal` carrying `payload`: x = H(m), then
+// verify_prepared.
+bool accepts(const RlnVerifier& v, std::span<const std::uint8_t> payload,
+             const RlnSignal& signal) {
+  return v.verify_prepared(signal, zksnark::RlnCircuit::message_to_x(payload));
+}
+
 TEST(ProverTest, SignalRoundTrip) {
   ProverFixture f;
   const Bytes payload = util::to_bytes("hello rln");
@@ -122,7 +182,7 @@ TEST(ProverTest, SignalRoundTrip) {
   ASSERT_TRUE(signal.has_value());
   EXPECT_EQ(signal->epoch, 42u);
   EXPECT_EQ(signal->root, f.group.root());
-  EXPECT_TRUE(f.verifier.verify(payload, *signal));
+  EXPECT_TRUE(accepts(f.verifier, payload, *signal));
 }
 
 TEST(ProverTest, VerifierRejectsPayloadSubstitution) {
@@ -131,7 +191,7 @@ TEST(ProverTest, VerifierRejectsPayloadSubstitution) {
   const Bytes payload = util::to_bytes("original");
   const auto signal = f.prover.create_signal(payload, 42, f.group, f.index, f.rng);
   ASSERT_TRUE(signal.has_value());
-  EXPECT_FALSE(f.verifier.verify(util::to_bytes("forged"), *signal));
+  EXPECT_FALSE(accepts(f.verifier, util::to_bytes("forged"), *signal));
 }
 
 TEST(ProverTest, VerifierRejectsEpochSubstitution) {
@@ -140,7 +200,7 @@ TEST(ProverTest, VerifierRejectsEpochSubstitution) {
   auto signal = f.prover.create_signal(payload, 42, f.group, f.index, f.rng);
   ASSERT_TRUE(signal.has_value());
   signal->epoch = 43;
-  EXPECT_FALSE(f.verifier.verify(payload, *signal));
+  EXPECT_FALSE(accepts(f.verifier, payload, *signal));
 }
 
 TEST(ProverTest, RefusesWrongLeafIndex) {
@@ -170,11 +230,11 @@ TEST(ProverTest, SignalVerifiesOnlyAgainstMatchingRoot) {
   f.group.add_member(late.pk);
   EXPECT_NE(f.group.root(), signal->root);
   // The signal still verifies against the root it committed to…
-  EXPECT_TRUE(f.verifier.verify(payload, *signal));
+  EXPECT_TRUE(accepts(f.verifier, payload, *signal));
   // …but a signal claiming the new root with the old proof fails.
   auto stale = *signal;
   stale.root = f.group.root();
-  EXPECT_FALSE(f.verifier.verify(payload, stale));
+  EXPECT_FALSE(accepts(f.verifier, payload, stale));
 }
 
 TEST(ProverTest, SameEpochSameNullifierAcrossMessages) {
@@ -193,20 +253,17 @@ TEST(ProverTest, DifferentEpochsYieldUnlinkableNullifiers) {
   EXPECT_NE(s1->nullifier, s2->nullifier);
 }
 
-// verify_prepared takes the caller's x = H(m) instead of the payload; fed
-// message_to_x(payload) it must give verify(payload, signal)'s verdict.
-bool prepared_verdict(const RlnVerifier& v, std::span<const std::uint8_t> payload,
-                      const RlnSignal& signal) {
-  return v.verify_prepared(signal, zksnark::RlnCircuit::message_to_x(payload));
-}
+// The relay's path (accepts: verify_prepared on x = message_to_x(payload))
+// against the oracle that hashes the payload itself
+// (support/verify_reference.h).
 
 TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnValidSignal) {
   ProverFixture f;
   const Bytes payload = util::to_bytes("valid");
   const auto signal = f.prover.create_signal(payload, 42, f.group, f.index, f.rng);
   ASSERT_TRUE(signal.has_value());
-  EXPECT_TRUE(f.verifier.verify(payload, *signal));
-  EXPECT_TRUE(prepared_verdict(f.verifier, payload, *signal));
+  EXPECT_TRUE(reference::verify_signal(f.keys.vk, 1, payload, *signal));
+  EXPECT_TRUE(accepts(f.verifier, payload, *signal));
 }
 
 TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnTamperedProof) {
@@ -217,8 +274,8 @@ TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnTamperedProof) {
   for (std::size_t pos = 0; pos < zksnark::Proof::kSize; ++pos) {
     RlnSignal bad = *signal;
     bad.proof.bytes[pos] ^= 0x01;
-    EXPECT_FALSE(f.verifier.verify(payload, bad)) << "byte " << pos;
-    EXPECT_FALSE(prepared_verdict(f.verifier, payload, bad)) << "byte " << pos;
+    EXPECT_FALSE(reference::verify_signal(f.keys.vk, 1, payload, bad)) << "byte " << pos;
+    EXPECT_FALSE(accepts(f.verifier, payload, bad)) << "byte " << pos;
   }
 }
 
@@ -230,8 +287,8 @@ TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnWrongPayload) {
       f.prover.create_signal(util::to_bytes("original"), 42, f.group, f.index, f.rng);
   ASSERT_TRUE(signal.has_value());
   const Bytes forged = util::to_bytes("forged");
-  EXPECT_FALSE(f.verifier.verify(forged, *signal));
-  EXPECT_FALSE(prepared_verdict(f.verifier, forged, *signal));
+  EXPECT_FALSE(reference::verify_signal(f.keys.vk, 1, forged, *signal));
+  EXPECT_FALSE(accepts(f.verifier, forged, *signal));
 }
 
 TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnEverySlotAtRateThree) {
@@ -242,14 +299,14 @@ TEST(PreparedRlnVerifierTest, AgreesWithReferenceOnEverySlotAtRateThree) {
     const Bytes payload = util::to_bytes("slot " + std::to_string(slot));
     const auto signal = prover3.create_signal(payload, 42, f.group, f.index, f.rng, slot);
     ASSERT_TRUE(signal.has_value()) << "slot " << slot;
-    EXPECT_TRUE(verifier3.verify(payload, *signal)) << "slot " << slot;
-    EXPECT_TRUE(prepared_verdict(verifier3, payload, *signal)) << "slot " << slot;
+    EXPECT_TRUE(reference::verify_signal(f.keys.vk, 3, payload, *signal)) << "slot " << slot;
+    EXPECT_TRUE(accepts(verifier3, payload, *signal)) << "slot " << slot;
     // Moved to the next slot, the signal no longer matches its proven
     // external nullifier (the last slot moves out of range instead).
     RlnSignal moved = *signal;
     moved.message_index = slot + 1;
-    EXPECT_FALSE(verifier3.verify(payload, moved)) << "slot " << slot;
-    EXPECT_FALSE(prepared_verdict(verifier3, payload, moved)) << "slot " << slot;
+    EXPECT_FALSE(reference::verify_signal(f.keys.vk, 3, payload, moved)) << "slot " << slot;
+    EXPECT_FALSE(accepts(verifier3, payload, moved)) << "slot " << slot;
   }
 }
 
@@ -263,7 +320,7 @@ TEST(SignalTest, SerializationRoundTrip) {
   const auto parsed = RlnSignal::deserialize(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, *signal);
-  EXPECT_TRUE(f.verifier.verify(payload, *parsed));
+  EXPECT_TRUE(accepts(f.verifier, payload, *parsed));
 }
 
 TEST(SignalTest, DeserializeRejectsBadLength) {

@@ -3,6 +3,7 @@
 #include "hash/poseidon.h"
 #include "merkle/merkle_tree.h"
 #include "shamir/shamir.h"
+#include "support/verify_reference.h"
 #include "util/rng.h"
 #include "zksnark/cost_model.h"
 #include "zksnark/proof_system.h"
@@ -122,7 +123,7 @@ TEST(MockGroth16Test, ProveAndVerifyRoundTrip) {
   const KeyPair keys = MockGroth16::setup(f.tree.depth(), rng);
   const auto proof = MockGroth16::prove(keys.pk, f.witness, f.pub, rng);
   ASSERT_TRUE(proof.has_value());
-  EXPECT_TRUE(MockGroth16::verify(keys.vk, *proof, f.pub));
+  EXPECT_TRUE(PreparedVerifier(keys.vk).verify(*proof, f.pub));
 }
 
 TEST(MockGroth16Test, ProofIsConstantSize) {
@@ -154,8 +155,9 @@ TEST(MockGroth16Test, ProofsAreRerandomized) {
   const auto p2 = MockGroth16::prove(keys.pk, f.witness, f.pub, rng);
   ASSERT_TRUE(p1 && p2);
   EXPECT_NE(*p1, *p2);
-  EXPECT_TRUE(MockGroth16::verify(keys.vk, *p1, f.pub));
-  EXPECT_TRUE(MockGroth16::verify(keys.vk, *p2, f.pub));
+  const PreparedVerifier verifier(keys.vk);
+  EXPECT_TRUE(verifier.verify(*p1, f.pub));
+  EXPECT_TRUE(verifier.verify(*p2, f.pub));
 }
 
 TEST(MockGroth16Test, VerifyRejectsTamperedProof) {
@@ -167,7 +169,7 @@ TEST(MockGroth16Test, VerifyRejectsTamperedProof) {
   for (std::size_t pos : {0u, 33u, 64u, 127u}) {
     Proof tampered = *proof;
     tampered.bytes[pos] ^= 0x01;
-    EXPECT_FALSE(MockGroth16::verify(keys.vk, tampered, f.pub)) << "byte " << pos;
+    EXPECT_FALSE(PreparedVerifier(keys.vk).verify(tampered, f.pub)) << "byte " << pos;
   }
 }
 
@@ -179,7 +181,7 @@ TEST(MockGroth16Test, VerifyRejectsDifferentPublicInputs) {
   ASSERT_TRUE(proof.has_value());
   RlnPublicInputs other = f.pub;
   other.x += Fr::one();
-  EXPECT_FALSE(MockGroth16::verify(keys.vk, *proof, other));
+  EXPECT_FALSE(PreparedVerifier(keys.vk).verify(*proof, other));
 }
 
 TEST(MockGroth16Test, VerifyRejectsProofFromOtherSetup) {
@@ -189,7 +191,7 @@ TEST(MockGroth16Test, VerifyRejectsProofFromOtherSetup) {
   const KeyPair keys_b = MockGroth16::setup(f.tree.depth(), rng);
   const auto proof = MockGroth16::prove(keys_a.pk, f.witness, f.pub, rng);
   ASSERT_TRUE(proof.has_value());
-  EXPECT_FALSE(MockGroth16::verify(keys_b.vk, *proof, f.pub));
+  EXPECT_FALSE(PreparedVerifier(keys_b.vk).verify(*proof, f.pub));
 }
 
 TEST(MockGroth16Test, ProvingKeySizeMatchesPaperAtDepth20) {
@@ -206,7 +208,8 @@ TEST(MockGroth16Test, VerifyingKeyIsSmall) {
 }
 
 // ---------------------------------------------------------------------------
-// PreparedVerifier: verdict bit-equality with the reference verifier.
+// PreparedVerifier: verdict equality with the step-by-step transcript in
+// support/verify_reference.h.
 
 TEST(PreparedVerifierTest, AgreesWithReferenceOnValidProofs) {
   Rng rng(620);
@@ -218,7 +221,7 @@ TEST(PreparedVerifierTest, AgreesWithReferenceOnValidProofs) {
     ASSERT_TRUE(proof.has_value());
     EXPECT_TRUE(prepared.verify(*proof, f.pub));
     EXPECT_EQ(prepared.verify(*proof, f.pub),
-              MockGroth16::verify(keys.vk, *proof, f.pub));
+              reference::verify(keys.vk, *proof, f.pub));
   }
 }
 
@@ -235,7 +238,7 @@ TEST(PreparedVerifierTest, AgreesWithReferenceOnTamperedProofs) {
     // Same verdict as the reference on *every* single-byte corruption:
     // salt region, tag region and expansion region alike.
     EXPECT_EQ(prepared.verify(tampered, f.pub),
-              MockGroth16::verify(keys.vk, tampered, f.pub))
+              reference::verify(keys.vk, tampered, f.pub))
         << "byte " << pos;
     EXPECT_FALSE(prepared.verify(tampered, f.pub)) << "byte " << pos;
   }
@@ -260,7 +263,7 @@ TEST(PreparedVerifierTest, AgreesWithReferenceOnWrongInputsAndKeys) {
      : which == 3 ? bad.y
                   : bad.nullifier) += Fr::one();
     EXPECT_EQ(prepared.verify(*proof, bad),
-              MockGroth16::verify(keys.vk, *proof, bad))
+              reference::verify(keys.vk, *proof, bad))
         << "field " << which;
     EXPECT_FALSE(prepared.verify(*proof, bad)) << "field " << which;
   }
@@ -268,7 +271,7 @@ TEST(PreparedVerifierTest, AgreesWithReferenceOnWrongInputsAndKeys) {
   // A verifier prepared from a different setup rejects, like the
   // reference.
   EXPECT_EQ(prepared_other.verify(*proof, f.pub),
-            MockGroth16::verify(other.vk, *proof, f.pub));
+            reference::verify(other.vk, *proof, f.pub));
   EXPECT_FALSE(prepared_other.verify(*proof, f.pub));
 }
 
